@@ -1,8 +1,8 @@
 """Edit-distance dynamic-programming cores.
 
-Everything that walks a Levenshtein lattice lives here: full tables, banded
-(Ukkonen-style) computations, semi-global sweeps for minimizing over text
-substrings/prefixes, and the canonical backtrace.
+Everything that walks a Levenshtein lattice lives here: banded (Ukkonen-style)
+computations, semi-global sweeps for minimizing over text substrings/prefixes,
+the self-alignment table, and the canonical backtrace.
 
 The backtrace tie-break is fixed once for the whole package: at a cell, an
 aligned step (match/substitution) is preferred over a deletion, which is
@@ -20,34 +20,6 @@ import numpy as np
 INF = 1 << 30
 
 Points = List[Tuple[int, int]]
-
-
-# ---------------------------------------------------------------------------
-# full-table DP (small inputs, oracle paths)
-
-
-def full_table(x: Sequence[int], y: Sequence[int]) -> List[List[int]]:
-    """Standard (len(x)+1) x (len(y)+1) edit-distance table."""
-    n, m = len(x), len(y)
-    prev = list(range(m + 1))
-    rows = [prev]
-    for i in range(1, n + 1):
-        xi = x[i - 1]
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            a = prev[j - 1] + (xi != y[j - 1])
-            b = prev[j] + 1
-            c = cur[j - 1] + 1
-            cur[j] = a if a <= b else b
-            if c < cur[j]:
-                cur[j] = c
-        rows.append(cur)
-        prev = cur
-    return rows
-
-
-def edit_distance(x: Sequence[int], y: Sequence[int]) -> int:
-    return full_table(x, y)[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +160,14 @@ def _np_codes(x: Sequence[int]) -> np.ndarray:
     return np.asarray(x, dtype=np.int32)
 
 
-def _row_sweep(x: np.ndarray, u: np.ndarray, first_row: np.ndarray) -> np.ndarray:
-    """Final DP row for pattern x against u, given the first row."""
+def _row_sweep(
+    x: np.ndarray, u: np.ndarray, first_row: np.ndarray, rowmins: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Final DP row for pattern x against u, given the first row.
+
+    When `rowmins` is given, rowmins[i] receives the minimum of row i for
+    i >= 1; the caller fills rowmins[0].
+    """
     m = len(u)
     prev = first_row
     idx = np.arange(m + 1, dtype=np.int32)
@@ -200,6 +178,8 @@ def _row_sweep(x: np.ndarray, u: np.ndarray, first_row: np.ndarray) -> np.ndarra
         b[0] = prev[0] + 1
         b[1:] = body
         prev = idx + np.minimum.accumulate(b - idx)
+        if rowmins is not None:
+            rowmins[i] = prev.min()
     return prev
 
 
@@ -215,6 +195,14 @@ def prefix_cost_row(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
     xa, ua = _np_codes(x), _np_codes(u)
     first = np.arange(len(ua) + 1, dtype=np.int32)
     return _row_sweep(xa, ua, first)
+
+
+def prefix_row_minima(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
+    """M with M[i] = min_j edit_distance(x[:i], u[0:j])."""
+    xa, ua = _np_codes(x), _np_codes(u)
+    mins = np.zeros(len(xa) + 1, dtype=np.int32)
+    _row_sweep(xa, ua, np.arange(len(ua) + 1, dtype=np.int32), mins)
+    return mins
 
 
 def min_over_substrings(x: Sequence[int], u: Sequence[int]) -> Tuple[int, int, int]:
@@ -304,33 +292,42 @@ def batch_verify_starts(
 # self-alignment DP (no character aligned to itself)
 
 
-def selfed_cost(x: Sequence[int], cap: Optional[int] = None) -> Optional[int]:
-    """Minimum cost of a self-alignment of x; None if it exceeds `cap`.
+def _selfed_rows(x: Sequence[int]):
+    """Yield rows 0..n of the self-alignment table of x.
 
     The only difference from a plain edit-distance DP of x against itself is
     that the aligned transition out of a main-diagonal cell is forbidden:
     there it would necessarily match a character with itself.
     """
     n = len(x)
+    prev = list(range(n + 1))
+    yield prev
+    for i in range(1, n + 1):
+        xi = x[i - 1]
+        cur = [i] + [0] * n
+        for j in range(1, n + 1):
+            best = prev[j] + 1
+            c = cur[j - 1] + 1
+            if c < best:
+                best = c
+            if i != j:  # diagonal step out of (i-1, j-1) forbidden iff i-1 == j-1
+                a = prev[j - 1] + (xi != x[j - 1])
+                if a < best:
+                    best = a
+            cur[j] = best
+        yield cur
+        prev = cur
+
+
+def selfed_cost(x: Sequence[int], cap: Optional[int] = None) -> Optional[int]:
+    """Minimum cost of a self-alignment of x; None if it exceeds `cap`."""
+    n = len(x)
     if n == 0:
         return 0
     if n <= 160 or cap is None:
-        prev = list(range(n + 1))
-        for i in range(1, n + 1):
-            xi = x[i - 1]
-            cur = [i] + [0] * n
-            for j in range(1, n + 1):
-                best = prev[j] + 1
-                c = cur[j - 1] + 1
-                if c < best:
-                    best = c
-                if i != j:  # diagonal step out of (i-1, j-1) forbidden iff i-1 == j-1
-                    a = prev[j - 1] + (xi != x[j - 1])
-                    if a < best:
-                        best = a
-                cur[j] = best
-            prev = cur
-        v = prev[n]
+        for row in _selfed_rows(x):
+            pass
+        v = row[n]
     else:
         xa = _np_codes(x)
         prev = np.arange(n + 1, dtype=np.int32)
@@ -338,8 +335,7 @@ def selfed_cost(x: Sequence[int], cap: Optional[int] = None) -> Optional[int]:
         for i in range(1, n + 1):
             sub = (xa != xa[i - 1]).astype(np.int32)
             diag = prev[:-1] + sub
-            if i <= n:
-                diag[i - 1] = INF  # (i-1, j-1) with j-1 == i-1
+            diag[i - 1] = INF  # (i-1, j-1) with j-1 == i-1
             body = np.minimum(diag, prev[1:] + 1)
             b = np.empty(n + 1, dtype=np.int32)
             b[0] = prev[0] + 1
@@ -356,22 +352,7 @@ def selfed_witness(x: Sequence[int]) -> Tuple[int, Points]:
     n = len(x)
     if n == 0:
         return 0, [(0, 0)]
-    rows = [list(range(n + 1))]
-    for i in range(1, n + 1):
-        xi = x[i - 1]
-        prev = rows[-1]
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            best = prev[j] + 1
-            c = cur[j - 1] + 1
-            if c < best:
-                best = c
-            if i != j:
-                a = prev[j - 1] + (xi != x[j - 1])
-                if a < best:
-                    best = a
-            cur[j] = best
-        rows.append(cur)
+    rows = list(_selfed_rows(x))
     i = j = n
     path = [(i, j)]
     while i > 0 or j > 0:

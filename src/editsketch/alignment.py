@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .symbols import Fragment, Str
+from .symbols import Str
 
 Point = Tuple[int, int]
 Record = Tuple[int, Optional[int], int, Optional[int]]
@@ -58,12 +58,6 @@ class Alignment:
     @property
     def dst_end(self) -> int:
         return self.points[-1][1]
-
-    def src_fragment(self) -> Fragment:
-        return Fragment(self.src, self.src_start, self.src_end)
-
-    def dst_fragment(self) -> Fragment:
-        return Fragment(self.dst, self.dst_start, self.dst_end)
 
     def steps(self):
         """Yield (kind, x, y) with kind in {'match', 'sub', 'del', 'ins'}."""

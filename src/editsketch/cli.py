@@ -2,16 +2,13 @@
 
 Subcommands: match, sketch encode|decode|inspect, analyze, selfed, lz,
 gen-lb, bench.  Exit codes: 0 ok, 2 input/parameter error, 3 corrupt sketch,
-4 internal invariant broken.  Log level comes from the EDITSKETCH_LOG
-environment variable only.
+4 internal invariant broken.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from typing import List, Optional
 
@@ -31,9 +28,6 @@ from .sketch import (
     sketch_size_bits,
 )
 from .symbols import Str, from_bytes, from_tokens
-
-log = logging.getLogger("editsketch")
-
 
 class InputError(Exception):
     pass
@@ -95,7 +89,7 @@ def cmd_sketch_encode(args) -> int:
     t = _read_str(args.text, args.format)
     if args.k < 1:
         raise InputError("k must be at least 1")
-    sk = encode(p, t, args.k, chars=args.chars, threads=args.threads)
+    sk = encode(p, t, args.k, chars=args.chars)
     data = sk.to_bytes()
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -254,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("-k", type=int, required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--chars", action="store_true", help="store characters verbatim")
-    e.add_argument("--threads", type=int, default=1)
     e.add_argument("--json")
     e.set_defaults(fn=cmd_sketch_encode)
     d = sksub.add_parser("decode")
@@ -305,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    level = os.environ.get("EDITSKETCH_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

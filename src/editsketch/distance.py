@@ -95,7 +95,8 @@ def prefix_min_edit(p: Str, t: Str, k: int) -> Optional[Tuple[int, int]]:
     return d, len(t) - y
 
 
-def _unroll(q: Str, length: int) -> Tuple[int, ...]:
+def unroll(q: Str, length: int) -> Tuple[int, ...]:
+    """The prefix of q^inf of the given length (empty when q is empty)."""
     reps = -(-length // len(q)) if len(q) else 0
     return (q.codes * reps)[:length]
 
@@ -113,7 +114,7 @@ def ed_periodic(s: Str, q: Str, mode: str = "substring") -> int:
         raise ValueError("empty period")
     if len(s) == 0:
         return 0
-    u = _unroll(q, 2 * (len(s) + len(q)))
+    u = unroll(q, 2 * (len(s) + len(q)))
     if mode == "substring":
         row = _dp.semiglobal_end_row(s.codes, u)
         return int(row.min())
@@ -129,7 +130,7 @@ def ed_periodic_witness(s: Str, q: Str, mode: str = "substring") -> Tuple[int, i
         raise ValueError("empty period")
     if len(s) == 0:
         return 0, 0, 0
-    u = _unroll(q, 2 * (len(s) + len(q)))
+    u = unroll(q, 2 * (len(s) + len(q)))
     if mode == "substring":
         return _dp.min_over_substrings(s.codes, u)
     if mode == "prefix":

@@ -107,23 +107,8 @@ class AlignmentGraph:
     black_comp_ids: Dict[int, int]  # full-root -> component index in [0, bc)
     shifts: List[int]         # per member of S: black subsequence shift
 
-    BOT = -1  # placeholder; the bottom vertex is index m + n
-
-    def vertex_p(self, x: int) -> int:
-        return x
-
-    def vertex_t(self, y: int) -> int:
-        return self.m + y
-
-    def component_of(self, v: int) -> int:
-        return self.full.find(v)
-
     def is_red(self, v: int) -> bool:
         return self.full.find(v) in self.red_roots
-
-    def black_component_index(self, v: int) -> Optional[int]:
-        """Index of the black component containing v, or None."""
-        return self.black_comp_ids.get(self.full.find(v))
 
 
 def build_graph(p: Str, t: Str, s: AlignmentSet, validate: bool = False) -> AlignmentGraph:

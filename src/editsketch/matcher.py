@@ -18,7 +18,7 @@ import numpy as np
 from . import _dp
 from .alignment import CostedOccurrence
 from .analysis import Decomposition, analyze, edit_budget
-from .distance import ed_periodic_witness, end_costs
+from .distance import ed_periodic_witness, end_costs, unroll
 from .strings import exact_occurrences
 from .symbols import Str
 from .window import grow_window_structure
@@ -40,17 +40,13 @@ def assert_superset(p: Str, t: Str, k: int, cand: "CandidateSet") -> None:
 
 @dataclass
 class CandidateSet:
-    """Candidate occurrence starts with provenance tags."""
+    """Candidate occurrence starts."""
 
     k: int
     starts: Set[int] = field(default_factory=set)
-    provenance: Dict[int, str] = field(default_factory=dict)
 
-    def add_range(self, lo: int, hi: int, tag: str, clip_hi: int) -> None:
-        for x in range(max(0, lo), min(hi, clip_hi) + 1):
-            if x not in self.starts:
-                self.starts.add(x)
-                self.provenance[x] = tag
+    def add_range(self, lo: int, hi: int, clip_hi: int) -> None:
+        self.starts.update(range(max(0, lo), min(hi, clip_hi) + 1))
 
     def sorted_starts(self) -> List[int]:
         return sorted(self.starts)
@@ -100,40 +96,12 @@ def candidates_breaks(p: Str, t: Str, k: int, d: Decomposition) -> CandidateSet:
     for br in d.breaks:
         b = p[br.start : br.end]
         for x in exact_occurrences(b, t):
-            cand.add_range(x - br.start - k, x - br.start + k, f"break@{br.start}", clip)
+            cand.add_range(x - br.start - k, x - br.start + k, clip)
     return cand
 
 
 # ---------------------------------------------------------------------------
 # cases (b) and (c): periodic machinery
-
-
-def _prefix_rowmins_and_final(x, u, upto: int):
-    """Row minima of the prefix-cost DP of x against u, plus row `upto`."""
-    rowmins = np.empty(len(x) + 1, dtype=np.int32)
-    xa = np.asarray(x, dtype=np.int32)
-    ua = np.asarray(u, dtype=np.int32)
-    mcols = len(ua)
-    prev = np.arange(mcols + 1, dtype=np.int32)
-    idx = np.arange(mcols + 1, dtype=np.int32)
-    rowmins[0] = 0
-    saved = prev.copy() if upto == 0 else None
-    for i in range(1, len(xa) + 1):
-        sub = (ua != xa[i - 1]).astype(np.int32)
-        body = np.minimum(prev[:-1] + sub, prev[1:] + 1)
-        b = np.empty(mcols + 1, dtype=np.int32)
-        b[0] = prev[0] + 1
-        b[1:] = body
-        prev = idx + np.minimum.accumulate(b - idx)
-        rowmins[i] = int(prev.min())
-        if i == upto:
-            saved = prev.copy()
-    return rowmins, saved
-
-
-def _unrolled(q: Str, length: int) -> Tuple[int, ...]:
-    reps = -(-length // len(q)) if length > 0 else 1
-    return (q.codes * reps)[:length]
 
 
 def candidates_periodic(
@@ -145,7 +113,6 @@ def candidates_periodic(
     big_k: int,
     base: int = 0,
     cand: Optional[CandidateSet] = None,
-    tag: str = "periodic",
 ) -> CandidateSet:
     """Candidate starts for occurrences of an approximately periodic string.
 
@@ -177,25 +144,19 @@ def candidates_periodic(
                 anchors.append(x)
             prev = x
     if not anchors or len(anchors) > 24:
-        cand.add_range(base, base + lim, tag + ":fallback", clip_hi=clip_abs)
+        cand.add_range(base, base + lim, clip_hi=clip_abs)
         return cand
 
     radius = 6 * big_k
     for tau in anchors:
-        rowmins_l, _ = _prefix_rowmins_and_final(
-            t.codes[:tau][::-1], _unrolled(q.reverse(), tau + 2 * ql), upto=-1
-        )
-        ok = np.nonzero(rowmins_l <= 2 * big_k)[0]
+        left = t.codes[:tau][::-1]
+        u_left = unroll(q.reverse(), tau + 2 * ql)
+        ok = np.nonzero(_dp.prefix_row_minima(left, u_left) <= 2 * big_k)[0]
         amax = int(ok.max()) if len(ok) else 0
         i2 = tau - amax
-        _, final_row = _prefix_rowmins_and_final(
-            t.codes[:tau][::-1][:amax], _unrolled(q.reverse(), tau + 2 * ql), upto=amax
-        )
-        wlen_l = int(np.argmin(final_row))
+        wlen_l = int(np.argmin(_dp.prefix_cost_row(left[:amax], u_left)))
         right = t.codes[tau + ql :]
-        rowmins_r, _ = _prefix_rowmins_and_final(
-            right, _unrolled(q, len(right) + 2 * ql), upto=-1
-        )
+        rowmins_r = _dp.prefix_row_minima(right, unroll(q, len(right) + 2 * ql))
         ok = np.nonzero(rowmins_r <= 2 * big_k)[0]
         bmax = int(ok.max()) if len(ok) else 0
         j2 = tau + ql + bmax
@@ -205,7 +166,7 @@ def candidates_periodic(
         if x_hi < x_lo:
             continue
         if 2 * radius + 1 >= ql:
-            cand.add_range(base + x_lo, base + x_hi, tag, clip_hi=clip_abs)
+            cand.add_range(base + x_lo, base + x_hi, clip_hi=clip_abs)
             continue
         g0 = x_lo + ((residue - x_lo) % ql)
         g = g0 - ql
@@ -213,7 +174,6 @@ def candidates_periodic(
             cand.add_range(
                 base + max(x_lo, g - radius),
                 base + min(x_hi, g + radius),
-                tag,
                 clip_hi=clip_abs,
             )
             g += ql
@@ -233,7 +193,7 @@ def _region_occurrence_starts(r: Str, t: Str, kappa: int, q: Str, big_k: int) ->
     while i < max(1, len(t) - rl + kappa + 1):
         seg = t[i : i + seg_len]
         if len(seg) >= rl - kappa:
-            candidates_periodic(r, seg, q, l_r, kappa, big_k, base=i, cand=cand, tag="region")
+            candidates_periodic(r, seg, q, l_r, kappa, big_k, base=i, cand=cand)
         i += block
     occ = _verify_starts(r, t, kappa, cand.sorted_starts())
     return {o.start for o in occ}
@@ -260,7 +220,7 @@ def candidates_regions(p: Str, t: Str, k: int, d: Decomposition) -> CandidateSet
             if b in seen_buckets:
                 continue
             seen_buckets.add(b)
-            cand.add_range(b - reg.start - 10 * k, b - reg.start + 10 * k, f"region@{reg.start}", clip)
+            cand.add_range(b - reg.start - 10 * k, b - reg.start + 10 * k, clip)
     return cand
 
 
@@ -277,7 +237,7 @@ def candidates_approx_period(p: Str, t: Str, k: int, d: Decomposition) -> Candid
     while i < max(1, len(t) - m + k + 1):
         seg = t[i : i + seg_len]
         if len(seg) >= m - k:
-            candidates_periodic(p, seg, q, l_r, k, big_k, base=i, cand=cand, tag="period")
+            candidates_periodic(p, seg, q, l_r, k, big_k, base=i, cand=cand)
         i += block
     return cand
 

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .alignment import Record, edit_info, reconstruct_points
+from .alignment import CorruptEditInfo, Record, edit_info, reconstruct_points
 from .compress import LZFactorization, lz77
 from .distance import optimal_alignment
 from .graph import (
@@ -289,9 +289,7 @@ def split_blocks(n: int, m: int, k: int) -> Tuple[int, int]:
 # encoding
 
 
-def encode(
-    p: Str, t: Str, k: int, chars: bool = False, validate: bool = False, threads: int = 1
-) -> Sketch:
+def encode(p: Str, t: Str, k: int, chars: bool = False, validate: bool = False) -> Sketch:
     """Build the sketch of all k-error occurrence pairs of p in t."""
     if k < 1:
         raise ValueError("threshold must be at least 1")
@@ -324,7 +322,6 @@ def encode(
 
     occ = find_occurrences(p, t, k)
     pairs_sorted = sorted((o.start, o.end, o.cost) for o in occ)
-    jobs: List[List[Tuple[int, int, int]]] = []
     idx = 0
     for wlo in range(0, max(n, 1), block):
         whi = min(wlo + span, n)
@@ -334,24 +331,7 @@ def encode(
             idx += 1
         if any(e > whi for _, e, _ in wpairs):
             raise InternalInvariantBroken("occurrence escapes its window")
-        jobs.append(wpairs)
-
-    def run(wpairs: List[Tuple[int, int, int]]) -> Tuple[WindowRecord, Dict[str, int]]:
-        local: Dict[str, int] = {}
-        rec = _encode_window(p, t, k, wpairs, validate, local)
-        return rec, local
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    for rec, local in results:
-        windows.append(rec)
-        for key, v in local.items():
-            stats[key] = stats.get(key, 0) + v
+        windows.append(_encode_window(p, t, k, wpairs, validate, stats))
     stats["windows"] = len(windows)
     return Sketch(n, m, k, alphabet, chars, None, windows, stats)
 
@@ -431,7 +411,7 @@ def decode(sk: Sketch) -> List[DecodedOccurrence]:
             continue
         if w.kind == SINGLE:
             a = w.aligns[0]
-            pts = reconstruct_points(list(a.records), sk.m, a.rel_start, a.identity)
+            pts = _points_of(a, sk.m)
             if pts[-1][1] != a.rel_end:
                 raise CorruptSketch("single record endpoint mismatch")
             key = (w.lo + a.rel_start, w.lo + a.rel_end)
@@ -441,6 +421,13 @@ def decode(sk: Sketch) -> List[DecodedOccurrence]:
         ph, th, occ = _decode_structured(sk, w)
         _add_pairs(out, w.lo, ph, th, occ)
     return sorted(out.values(), key=lambda o: (o.start, o.end))
+
+
+def _points_of(a: AlignRec, m: int):
+    try:
+        return reconstruct_points(list(a.records), m, a.rel_start, a.identity)
+    except CorruptEditInfo as exc:
+        raise CorruptSketch(f"alignment record does not reconstruct: {exc}") from exc
 
 
 def _add_pairs(out, lo, p: Str, t_crop: Str, occ) -> None:
@@ -463,7 +450,7 @@ def _decode_structured(sk: Sketch, w: WindowRecord):
     m, crop_len, k = sk.m, w.crop_len, sk.k
     members = []
     for a in w.aligns:
-        pts = reconstruct_points(list(a.records), m, a.rel_start, a.identity)
+        pts = _points_of(a, m)
         if pts[-1][1] != a.rel_end:
             raise CorruptSketch("alignment record endpoint mismatch")
         if not (0 <= a.rel_start and a.rel_end <= crop_len):

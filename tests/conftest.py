@@ -24,6 +24,17 @@ def brute_edit_distance(x: Sequence[int], y: Sequence[int]) -> int:
     return prev[-1]
 
 
+def brute_table(x: Sequence[int], u: Sequence[int], free_start: bool) -> List[List[int]]:
+    """Cell (i, j): edit distance of x[:i] to u[:j], or, with a free start,
+    its minimum over the fragments u[s:j]."""
+    def cell(i: int, j: int) -> int:
+        if free_start:
+            return min(brute_edit_distance(x[:i], u[s:j]) for s in range(j + 1))
+        return brute_edit_distance(x[:i], u[:j])
+
+    return [[cell(i, j) for j in range(len(u) + 1)] for i in range(len(x) + 1)]
+
+
 def brute_per(s: Sequence[int]) -> int:
     """Smallest period directly from the definition."""
     n = len(s)

@@ -1,5 +1,8 @@
 import random
 
+import numpy as np
+
+from editsketch import _dp
 from editsketch.alignment import alignment_cost, validate
 from editsketch.distance import (
     ed_boundary_anchored,
@@ -21,6 +24,7 @@ from conftest import (
     brute_edit_distance,
     brute_occ_pairs,
     brute_suffix_min,
+    brute_table,
     random_codes,
 )
 
@@ -180,3 +184,18 @@ def test_ed_boundary_anchored(rng):
                     want = min(want, brute_edit_distance(s.codes, u[i:b]))
         got, _ = ed_boundary_anchored(s, q)
         assert got == want
+
+
+def test_row_sweep_rows_and_minima_match_brute_tables(rng):
+    for _ in range(120):
+        x = random_codes(rng, rng.randint(0, 7), 3)
+        u = random_codes(rng, rng.randint(0, 9), 3)
+        xa, ua = np.asarray(x, dtype=np.int32), np.asarray(u, dtype=np.int32)
+        prefix, free = brute_table(x, u, False), brute_table(x, u, True)
+        for table, first in ((prefix, np.arange(len(u) + 1, dtype=np.int32)), (free, np.zeros(len(u) + 1, np.int32))):
+            mins = np.zeros(len(x) + 1, dtype=np.int32)
+            assert _dp._row_sweep(xa, ua, first, mins).tolist() == table[-1]
+            assert mins[1:].tolist() == [min(row) for row in table[1:]]
+        assert _dp.prefix_cost_row(x, u).tolist() == prefix[-1]
+        assert _dp.semiglobal_end_row(x, u).tolist() == free[-1]
+        assert _dp.prefix_row_minima(x, u).tolist() == [min(row) for row in prefix]

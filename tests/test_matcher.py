@@ -141,6 +141,10 @@ def test_verify_candidates_trivial_cases():
     assert occ_set(verify_candidates(p, t, k, allc)) == occ_set(match_banded(p, t, k))
     empty = CandidateSet(k)
     assert verify_candidates(p, t, k, empty) == set()
+    clipped = CandidateSet(k)
+    clipped.add_range(-3, 10, clip_hi=2)  # both ends clipped
+    clipped.add_range(5, 4, clip_hi=9)  # empty range
+    assert clipped.starts == {0, 1, 2}
 
 
 def test_pipeline_equals_reference_random(rng):

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from editsketch.cli import main
 from editsketch.distance import optimal_alignment
 from editsketch.alignment import edit_info
 from editsketch.matcher import match_banded
@@ -202,9 +204,30 @@ def test_tiny_hand_case_recovery():
     assert tuple(got) == inst.planted
 
 
-def test_threads_do_not_change_output(rng):
-    p = Str(random_codes(rng, 10, 3))
-    t = Str(planted_text(rng, p.codes, 2, 3, reps=4, pad=8))
-    a = encode(p, t, 2, chars=True, threads=1)
-    b = encode(p, t, 2, chars=True, threads=4)
-    assert a.to_bytes() == b.to_bytes()
+def _shift_first_record(sk: Sketch, kind: int) -> bytes:
+    """Wire bytes of sk with the first edit record of one alignment in a
+    `kind` window moved one text position right, off the match diagonal."""
+    for w in sk.windows:
+        if w.kind != kind:
+            continue
+        for i, a in enumerate(w.aligns):
+            if a.records:
+                x, cx, y, cy = a.records[0]
+                bad = replace(a, records=((x, cx, y + 1, cy),) + a.records[1:])
+                w.aligns = w.aligns[:i] + (bad,) + w.aligns[i + 1 :]
+                return sk.to_bytes()
+    raise AssertionError("no window of that kind holds edit records")
+
+
+def test_unreconstructible_alignment_record_is_corrupt_sketch(tmp_path):
+    cases = [
+        (S("abcdefgh"), S("zzzabcxefghzzz"), SINGLE),
+        (S("abcdefgh"), S("abcdefgxabcdefgh"), STRUCTURED),
+    ]
+    for p, t, kind in cases:
+        blob = _shift_first_record(encode(p, t, 1, chars=True), kind)
+        with pytest.raises(CorruptSketch):
+            decode(Sketch.from_bytes(blob))
+        path = tmp_path / f"bad{kind}.bin"
+        path.write_bytes(blob)
+        assert main(["sketch", "decode", "--sketch", str(path)]) == 3
