@@ -2,7 +2,9 @@
 
 Everything that walks a Levenshtein lattice lives here: banded (Ukkonen-style)
 computations, semi-global sweeps for minimizing over text substrings/prefixes,
-the self-alignment table, and the canonical backtrace.
+the self-alignment table, and the canonical backtrace.  One offset-major row
+step over many starts (_band_row) serves both batched verification and the
+decoder's per-start canonical tracebacks.
 
 The backtrace tie-break is fixed once for the whole package: at a cell, an
 aligned step (match/substitution) is preferred over a deletion, which is
@@ -13,9 +15,11 @@ bit-for-bit on alignments and edit information.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .alignment import Record
 
 INF = 1 << 30
 
@@ -222,7 +226,49 @@ def min_over_substrings(x: Sequence[int], u: Sequence[int]) -> Tuple[int, int, i
 
 
 # ---------------------------------------------------------------------------
-# batched banded verification (many starts against one text)
+# offset-major bands over many starts: verification and canonical tracebacks
+
+
+def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
+    """Layout shared by every radius-k band of x against starts in t.
+
+    Returns (windows, vdtype, inf, row0).  windows[s] holds t[s + j] at
+    column k + j, padded with a value no pattern character equals, so cells
+    beyond the text end only grow and never disturb in-range cells (the DP
+    reads only leftward and upward).  Band column b of row i holds
+    D[i][i + b - k]; row0 is row 0, with cells at j < 0 set to inf.
+    """
+    n, m = len(t), len(x)
+    win = m + 2 * k  # per-start character window: offsets i-1+d, d in [-k, k]
+    max_code = max(max(t, default=0), max(x))
+    cdtype = np.int16 if max_code < 30000 else np.int32
+    ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
+    ta_pad[k : k + n] = np.asarray(t, dtype=cdtype)
+    windows = np.lib.stride_tricks.sliding_window_view(ta_pad, win)
+    vdtype = np.int16 if 2 * (m + k) + 100 < 30000 else np.int32
+    inf = (m + k) + 50
+    d0 = np.arange(-k, k + 1)
+    row0 = np.where(d0 >= 0, d0, inf).astype(vdtype)
+    return windows, vdtype, inf, row0
+
+
+def _band_row(prev, out, chars, xi, i, k, inf, offs, neq, up) -> None:
+    """Write band row i into `out` from row i - 1 in `prev`, for all starts.
+
+    chars[s, b] is the text character the aligned step into column b
+    consumes; x[i - 1] is `xi`.  `neq` and `up` are scratch arrays shaped
+    like `out`, with up[:, -1] already inf; on return they hold the mismatch
+    bits and the deletion-step costs of the row.
+    """
+    np.not_equal(chars, xi, out=neq)
+    np.add(prev, neq, out=out, casting="unsafe")
+    np.add(prev[:, 1:], 1, out=up[:, :-1])
+    np.minimum(out, up, out=out)
+    out -= offs
+    np.minimum.accumulate(out, axis=1, out=out)
+    out += offs
+    if i < k:  # offsets j = i + d < 0 stay unreachable
+        out[:, : k - i] = inf
 
 
 def batch_verify_starts(
@@ -231,9 +277,7 @@ def batch_verify_starts(
     """All (start, end, cost) triples with cost <= k, start drawn from `starts`.
 
     Vectorized across starts; equivalent to running end_costs_for_start on
-    each start.  Cells beyond the text end are allowed to hold junk: the DP
-    only reads leftward/upward, so in-range cells are unaffected, and the
-    output filter drops out-of-range ends.
+    each start.  The output filter drops ends beyond the text.
     """
     if not len(starts):
         return []
@@ -244,39 +288,20 @@ def batch_verify_starts(
     st_all = sorted(set(starts))
     out: List[Tuple[int, int, int]] = []
     width = 2 * k + 1
-    win = m + 2 * k  # per-start character window: offsets i-1+d, d in [-k, k]
-    chunk = min(4096, max(1, (32 << 20) // max(1, 2 * win)))
-    max_code = max(max(t, default=0), max(x))
-    cdtype = np.int16 if max_code < 30000 else np.int32
-    # pattern never matches the pad value, so out-of-range cells only grow
-    ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
-    ta_pad[k : k + n] = np.asarray(t, dtype=cdtype)
-    windows_all = np.lib.stride_tricks.sliding_window_view(ta_pad, win)
-    vdtype = np.int16 if 2 * (m + k) + 100 < 30000 else np.int32
-    inf = (m + k) + 50
+    chunk = min(4096, max(1, (32 << 20) // max(1, 2 * (m + 2 * k))))
+    windows_all, vdtype, inf, row0 = _band_frame(x, t, k)
     offs = np.arange(width, dtype=vdtype)
-    d0 = np.arange(-k, k + 1)
-    v_init = np.where(d0 >= 0, d0, inf).astype(vdtype)
     for c0 in range(0, len(st_all), chunk):
         st = np.asarray(st_all[c0 : c0 + chunk], dtype=np.int64)
         S = len(st)
-        W = windows_all[st]  # W[s, k + j] = t[st[s] + j], pad outside
-        V = np.broadcast_to(v_init, (S, width)).copy()
-        up = np.empty_like(V)
+        W = windows_all[st]
+        V = np.broadcast_to(row0, (S, width)).copy()
         M = np.empty_like(V)
+        up = np.full_like(V, inf)
         neq = np.empty((S, width), dtype=bool)
         for i in range(1, m + 1):
-            chars = W[:, i - 1 : i - 1 + width]
-            np.not_equal(chars, x[i - 1], out=neq)
-            np.add(V, neq, out=M, casting="unsafe")
-            np.add(V[:, 1:], 1, out=up[:, :-1])
-            up[:, -1] = inf
-            np.minimum(M, up, out=M)
-            M -= offs
-            np.minimum.accumulate(M, axis=1, out=M)
-            np.add(M, offs, out=V)
-            if i < k:  # offsets j = i + d < 0 stay unreachable
-                V[:, : k - i] = inf
+            _band_row(V, M, W[:, i - 1 : i - 1 + width], x[i - 1], i, k, inf, offs, neq, up)
+            V, M = M, V
         ok = V <= k
         if ok.any():
             si, di = np.nonzero(ok)
@@ -286,6 +311,113 @@ def batch_verify_starts(
                 if e <= n:
                     out.append((s0, e, int(V[a, b])))
     return out
+
+
+# canonical step into a band cell, in tie-break order (an aligned cell's code
+# is its mismatch bit), and the mark of the origin where every path stops
+_MATCH, _SUB, _DEL, _INS, _STOP = range(5)
+
+
+def canonical_alignments(
+    x: Sequence[int], t: Sequence[int], pairs: Sequence[Tuple[int, int]], k: int, shift: int = 0
+) -> List[Tuple[Tuple[Tuple[int, int], ...], FrozenSet[Record]]]:
+    """Canonical optimal alignment of x onto t[s:e) for each (s, e) in pairs.
+
+    Every pair must cost at most k.  Returns, in the order of `pairs`, the
+    path points (x index, t index + shift) and the edit records
+    (x, cx, y + shift, cy) of the path align_pair returns.  One radius-k
+    band per distinct start serves all of its ends: a cell of true cost
+    v <= k is reached by an optimal path inside |j - i| <= v, so the band is
+    exact on every cell the canonical backtrace visits.  Each band row keeps
+    the canonical step into each of its cells; the paths of all pairs of a
+    chunk of starts are then followed back together, one gather per step.
+    """
+    result: list = [None] * len(pairs)
+    if not len(pairs):
+        return result
+    m, n = len(x), len(t)
+    width = 2 * k + 1
+    by_start: Dict[int, List[int]] = {}
+    for idx, (s0, e0) in enumerate(pairs):
+        if not (0 <= s0 <= e0 <= n and abs(e0 - s0 - m) <= k):
+            raise ValueError(f"pair ({s0}, {e0}) is more than {k} length edits from the pattern")
+        by_start.setdefault(s0, []).append(idx)
+    starts = sorted(by_start)
+    windows_all, vdtype, inf, row0 = _band_frame(x, t, k)
+    offs = np.arange(width, dtype=vdtype)
+    # step codes of every row plus the worst-case path history: 4 MiB a chunk
+    chunk = max(1, (4 << 20) // (width * ((m + 1) + 4 * (m + k + 1))))
+    for c0 in range(0, len(starts), chunk):
+        st = starts[c0 : c0 + chunk]
+        S = len(st)
+        W = windows_all[np.asarray(st, dtype=np.int64)]
+        codes = np.empty((m + 1, S, width), dtype=np.uint8)
+        codes[0] = _INS
+        codes[0, :, k] = _STOP
+        V = np.broadcast_to(row0, (S, width)).copy()
+        M = np.empty_like(V)
+        up = np.full_like(V, inf)
+        neq = np.empty((S, width), dtype=bool)
+        aligned = np.empty_like(neq)
+        deleted = np.empty_like(neq)
+        for i in range(1, m + 1):
+            _band_row(V, M, W[:, i - 1 : i - 1 + width], x[i - 1], i, k, inf, offs, neq, up)
+            V += neq  # the aligned step's cost into each cell
+            np.equal(V, M, out=aligned)
+            np.equal(up, M, out=deleted)
+            np.subtract(_INS, deleted, out=codes[i], casting="unsafe")
+            np.copyto(codes[i], neq, casting="unsafe", where=aligned)
+            V, M = M, V
+        _trace_chunk(codes, V, W, x, st, by_start, pairs, k, shift, result)
+    return result
+
+
+def _trace_chunk(codes, last, W, x, st, by_start, pairs, k, shift, result) -> None:
+    """Follow the step codes back from every pair of the chunk's starts."""
+    m = len(x)
+    S, width = len(st), 2 * k + 1
+    row = S * width
+    idxs = [idx for s0 in st for idx in by_start[s0]]
+    sid = np.asarray([a for a, s0 in enumerate(st) for _ in by_start[s0]], dtype=np.int64)
+    b = np.asarray([pairs[idx][1] - pairs[idx][0] - m + k for idx in idxs], dtype=np.int64)
+    if (last[sid, b] > k).any():
+        raise ValueError(f"a pair costs more than {k}")
+    flat = codes.reshape(-1)
+    back = np.array([row, row, row - 1, 1, 0], dtype=np.int32)  # flat-index change per code
+    # flat cell of every path after each step; a path has at most m + k steps
+    hist = np.empty((m + k + 1, len(idxs)), dtype=np.int32)
+    hist[0] = m * row + sid * width + b
+    for step in range(1, m + k + 1):
+        np.subtract(hist[step - 1], back[flat[hist[step - 1]]], out=hist[step])
+    if (hist[-1] != sid * width + k).any():  # pragma: no cover - corrupted band
+        raise AssertionError("banded backtrace stranded")
+    steps = (hist != hist[-1]).sum(axis=0).tolist()
+    step_codes = flat[hist[:-1]]
+    te, pe = np.nonzero((step_codes >= _SUB) & (step_codes <= _INS))
+    cells = hist[te, pe]
+    ei, eb = cells // row, cells % width
+    starts = [pairs[idx][0] for idx in idxs]
+    recs: List[list] = [[] for _ in idxs]
+    for p, c, i, j, cy in zip(
+        pe.tolist(),
+        step_codes[te, pe].tolist(),
+        ei.tolist(),
+        (ei + eb - k).tolist(),
+        W[sid[pe], ei - 1 + eb].tolist(),  # t[s + j - 1]
+    ):
+        y = starts[p] + shift + j
+        if c == _DEL:
+            recs[p].append((i - 1, x[i - 1], y, None))
+        elif c == _INS:
+            recs[p].append((i, None, y - 1, cy))
+        else:
+            recs[p].append((i - 1, x[i - 1], y - 1, cy))
+    for p, idx in enumerate(idxs):
+        path = hist[steps[p] :: -1, p]
+        xs = path // row
+        ys = xs + path % width + (starts[p] - k)  # t index, shifted in Python
+        points = tuple(zip(xs.tolist(), map(shift.__add__, ys.tolist())))
+        result[idx] = (points, frozenset(recs[p]))
 
 
 # ---------------------------------------------------------------------------

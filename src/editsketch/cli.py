@@ -12,10 +12,9 @@ import json
 import sys
 from typing import List, Optional
 
+from ._dp import canonical_alignments
 from .analysis import analyze
 from .compress import lz77, selfed
-from .distance import optimal_alignment
-from .alignment import edit_info
 from .graph import InternalInvariantBroken
 from .matcher import find_occurrences, match_banded
 from .sketch import (
@@ -76,10 +75,10 @@ def cmd_match(args) -> int:
         raise InputError("k must be non-negative")
     matchfn = match_banded if args.reference else find_occurrences
     occ = sorted(matchfn(p, t, args.k), key=lambda o: (o.start, o.end))
-    results = []
-    for o in occ:
-        a = optimal_alignment(p, t, o.start, o.end)
-        results.append(_occurrence_json(o.start, o.end, o.cost, edit_info(a).records))
+    aligned = canonical_alignments(p.codes, t.codes, [(o.start, o.end) for o in occ], args.k)
+    results = [
+        _occurrence_json(o.start, o.end, o.cost, records) for o, (_, records) in zip(occ, aligned)
+    ]
     _emit({"k": args.k, "m": len(p), "n": len(t), "occurrences": results}, args.json)
     return 0
 

@@ -10,7 +10,14 @@ rebuilds, per structured window, the alignment graph from the edit
 information, recovers every red-component character, substitutes mask
 characters for unlearned black components, and recomputes the occurrence
 pairs of the masked strings, which provably coincide with the true ones
-together with their optimal alignments and edit information.
+together with their optimal alignments and edit information.  Those
+alignments come per start, not per pair: the pairs no other window decoded
+are grouped by start, one radius-k band per start is filled, and the
+canonical paths and edit records of all pairs are traced back together
+(_dp.canonical_alignments).  RAW windows go the same way after a plain
+re-match.  The parser checks each header against its records (4k > m iff a
+pattern is embedded iff every window is RAW; at most k edits per alignment;
+window starts inside the text) so a corrupted threshold cannot drive decode.
 
 Wire layout (little-endian varints):
   magic "EPMS" | version u8 | flags u8 | n m k alphabet window_count
@@ -31,6 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ._dp import canonical_alignments
 from .alignment import CorruptEditInfo, Record, edit_info, reconstruct_points
 from .compress import LZFactorization, lz77
 from .distance import optimal_alignment
@@ -189,25 +197,32 @@ class Sketch:
             raise UnsupportedSketch(f"version {ver}")
         flags = r.u8()
         n, m, k, alphabet, wc = (r.varint() for _ in range(5))
-        pattern = tuple(r.varint() for _ in range(m)) if flags & 2 else None
+        raw_mode = bool(flags & 2)
+        if raw_mode != (4 * k > m):
+            raise CorruptSketch(f"k={k}, m={m}: a pattern is embedded iff 4k > m")
+        pattern = tuple(r.varint() for _ in range(m)) if raw_mode else None
         windows = []
         for _ in range(wc):
             kind = r.u8()
+            if raw_mode != (kind == RAW):
+                raise CorruptSketch("windows are RAW iff a pattern is embedded")
             if kind == EMPTY:
                 windows.append(WindowRecord(EMPTY))
                 continue
             lo = r.varint()
+            if lo >= max(n, 1):
+                raise CorruptSketch("window starts beyond the text")
             if kind == RAW:
                 ln = r.varint()
                 syms = tuple(r.varint() for _ in range(ln))
                 windows.append(WindowRecord(RAW, lo=lo, symbols=syms))
             elif kind == SINGLE:
-                a = _read_alignrec(r)
+                a = _read_alignrec(r, k)
                 windows.append(WindowRecord(SINGLE, lo=lo, crop_len=a.rel_end, aligns=(a,)))
             elif kind == STRUCTURED:
                 crop_len = r.varint()
                 na = r.varint()
-                aligns = tuple(_read_alignrec(r) for _ in range(na))
+                aligns = tuple(_read_alignrec(r, k) for _ in range(na))
                 niv = r.varint()
                 ivs = []
                 for _ in range(niv):
@@ -243,11 +258,13 @@ def _write_alignrec(buf: bytearray, a: AlignRec) -> None:
         _put(buf, 0 if cy is None else cy + 1)
 
 
-def _read_alignrec(r: _Reader) -> AlignRec:
+def _read_alignrec(r: _Reader, k: int) -> AlignRec:
     rel_start = r.varint()
     rel_end = r.varint()
     ident = r.u8()
     nr = r.varint()
+    if nr > k:
+        raise CorruptSketch(f"alignment with {nr} edits under threshold {k}")
     recs = []
     for _ in range(nr):
         x = r.varint()
@@ -407,7 +424,7 @@ def decode(sk: Sketch) -> List[DecodedOccurrence]:
             p = Str(sk.pattern)
             frag = Str(w.symbols)
             occ = sorted(match_banded(p, frag, sk.k), key=lambda o: (o.start, o.end))
-            _add_pairs(out, w.lo, p, frag, [(o.start, o.end, o.cost) for o in occ])
+            _add_pairs(out, w.lo, sk.k, p, frag, [(o.start, o.end, o.cost) for o in occ])
             continue
         if w.kind == SINGLE:
             a = w.aligns[0]
@@ -419,7 +436,7 @@ def decode(sk: Sketch) -> List[DecodedOccurrence]:
                 _store(out, w.lo, key, len(a.records), pts, a.records)
             continue
         ph, th, occ = _decode_structured(sk, w)
-        _add_pairs(out, w.lo, ph, th, occ)
+        _add_pairs(out, w.lo, sk.k, ph, th, occ)
     return sorted(out.values(), key=lambda o: (o.start, o.end))
 
 
@@ -430,14 +447,13 @@ def _points_of(a: AlignRec, m: int):
         raise CorruptSketch(f"alignment record does not reconstruct: {exc}") from exc
 
 
-def _add_pairs(out, lo, p: Str, t_crop: Str, occ) -> None:
-    """Attach canonical alignments lazily: skip pairs another window decoded."""
-    for s0, e0, cost in occ:
-        key = (lo + s0, lo + e0)
-        if key in out:
-            continue
-        a = optimal_alignment(p, t_crop, s0, e0)
-        _store(out, lo, key, cost, a.points, edit_info(a).records)
+def _add_pairs(out, lo, k, p: Str, t_crop: Str, occ) -> None:
+    """Attach canonical alignments to the pairs no other window decoded,
+    from one radius-k band per start."""
+    todo = [(s0, e0, cost) for s0, e0, cost in occ if (lo + s0, lo + e0) not in out]
+    aligned = canonical_alignments(p.codes, t_crop.codes, [(s0, e0) for s0, e0, _ in todo], k, lo)
+    for (s0, e0, cost), (pts, recs) in zip(todo, aligned):
+        out[(lo + s0, lo + e0)] = DecodedOccurrence(lo + s0, lo + e0, cost, pts, recs)
 
 
 def _store(out, lo, key, cost, pts, recs) -> None:

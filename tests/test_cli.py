@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from editsketch.cli import main
+from editsketch.alignment import edit_info
+from editsketch.cli import _occurrence_json, main
+from editsketch.distance import optimal_alignment
+from editsketch.symbols import from_bytes
 
 
 def run_cli(args):
@@ -50,6 +53,18 @@ def test_reference_and_pipeline_agree(tmp_path):
     assert run_cli(["match", "--pattern", p, "--text", t, "-k", "1", "--json", str(o1)]) == 0
     assert run_cli(["match", "--pattern", p, "--text", t, "-k", "1", "--reference", "--json", str(o2)]) == 0
     assert load(o1)["occurrences"] == load(o2)["occurrences"]
+    # periodic input: many pairs per start, each with its canonical edits
+    pb, tb = b"abcabcabcabcab", b"cabcabcabxabcabcabcabcabcab"
+    p, t = write(tmp_path, "pp", pb), write(tmp_path, "tp", tb)
+    for k in ("0", "2"):
+        assert run_cli(["match", "--pattern", p, "--text", t, "-k", k, "--json", str(o1)]) == 0
+        assert run_cli(["match", "--pattern", p, "--text", t, "-k", k, "--reference", "--json", str(o2)]) == 0
+        occ = load(o1)["occurrences"]
+        assert occ and occ == load(o2)["occurrences"]
+        ps, ts = from_bytes(pb), from_bytes(tb)
+        for o in occ:
+            a = optimal_alignment(ps, ts, o["start"], o["end"])
+            assert o == _occurrence_json(o["start"], o["end"], o["cost"], edit_info(a).records)
 
 
 def test_sketch_encode_decode_inspect(tmp_path):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 
 from editsketch import _dp
-from editsketch.alignment import alignment_cost, validate
+from editsketch.alignment import alignment_cost, edit_info, validate
 from editsketch.distance import (
     ed_boundary_anchored,
     ed_periodic,
@@ -199,3 +199,37 @@ def test_row_sweep_rows_and_minima_match_brute_tables(rng):
         assert _dp.prefix_cost_row(x, u).tolist() == prefix[-1]
         assert _dp.semiglobal_end_row(x, u).tolist() == free[-1]
         assert _dp.prefix_row_minima(x, u).tolist() == [min(row) for row in prefix]
+
+
+def test_canonical_alignments_match_optimal_alignment(rng):
+    """One radius-k band per start yields each pair's canonical path and edits."""
+    near_end = 0
+    for _ in range(150):
+        k = rng.randint(0, 4)
+        sigma = rng.choice((2, 3))
+        p = Str(random_codes(rng, rng.randint(1, 10), sigma))
+        t = Str(random_codes(rng, rng.randint(0, len(p) + 2 * k + 2), sigma))
+        occ = sorted(occ_edits_oracle(p, t, k), key=lambda o: (o.start, o.end))
+        near_end += sum(o.start + len(p) + k > len(t) for o in occ)
+        shift = rng.randint(0, 9)
+        got = _dp.canonical_alignments(p.codes, t.codes, [(o.start, o.end) for o in occ], k, shift)
+        assert len(got) == len(occ)
+        for o, (points, records) in zip(occ, got):
+            a = optimal_alignment(p, t, o.start, o.end)
+            assert points == tuple((x, y + shift) for x, y in a.points)
+            assert records == frozenset((x, cx, y + shift, cy) for x, cx, y, cy in edit_info(a).records)
+    assert near_end > 0  # bands that run past the text end were exercised
+
+
+def test_batch_verify_starts_matches_end_costs_per_start(rng):
+    for _ in range(150):
+        k = rng.randint(0, 4)
+        sigma = rng.choice((2, 3))
+        p = random_codes(rng, rng.randint(1, 10), sigma)
+        t = random_codes(rng, rng.randint(0, len(p) + 2 * k + 6), sigma)
+        n = len(t)
+        starts = set(rng.sample(range(n + 1), rng.randint(0, n + 1))) | set(range(max(0, n - k), n + 1))
+        want = sorted(
+            (s0, e, c) for s0 in starts for e, c in _dp.end_costs_for_start(p, t, s0, k).items()
+        )
+        assert sorted(_dp.batch_verify_starts(p, t, sorted(starts), k)) == want

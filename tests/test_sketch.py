@@ -17,6 +17,7 @@ from editsketch.sketch import (
     STRUCTURED,
     Sketch,
     UnsupportedSketch,
+    WindowRecord,
     decode,
     encode,
     gen_lower_bound,
@@ -231,3 +232,62 @@ def test_unreconstructible_alignment_record_is_corrupt_sketch(tmp_path):
         path = tmp_path / f"bad{kind}.bin"
         path.write_bytes(blob)
         assert main(["sketch", "decode", "--sketch", str(path)]) == 3
+
+
+def _periodic_structured_sketch() -> Sketch:
+    """m = 64, k = 2, n = 300: a period-5 pattern in a periodic text with one
+    substitution, so the windows are STRUCTURED."""
+    q = (0, 1, 2, 0, 3)
+    t = list((q * 60)[:300])
+    t[150] = 1
+    sk = encode(Str((q * 13)[:64]), Str(t), 2)
+    assert STRUCTURED in {w.kind for w in sk.windows}
+    return sk
+
+
+def test_header_inconsistent_with_records_is_corrupt_sketch():
+    sk = _periodic_structured_sketch()
+    assert Sketch.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
+    # header k raised from 2 to 48: the masked strings would be re-matched
+    # with 4k > m and no embedded pattern
+    with pytest.raises(CorruptSketch):
+        Sketch.from_bytes(replace(sk, k=48).to_bytes())
+
+    at = next(i for i, w in enumerate(sk.windows) if w.kind == STRUCTURED)
+    w = sk.windows[at]
+    a = next(a for a in w.aligns if a.records)
+    padded = replace(a, records=a.records + tuple((40 + i, 0, 40 + i, 1) for i in range(3)))
+
+    def with_window(new):
+        return replace(sk, windows=sk.windows[:at] + [new] + sk.windows[at + 1 :]).to_bytes()
+
+    raw = encode(S("abc"), S("xxabcxy"), 2, chars=True)
+    bad = [
+        with_window(replace(w, lo=sk.n)),  # window starts past the text
+        with_window(replace(w, aligns=(padded,) + w.aligns[1:])),  # more than k edits
+        with_window(WindowRecord(RAW, lo=w.lo, symbols=(0, 1))),  # RAW without 4k > m
+        replace(sk, pattern=(0,) * sk.m).to_bytes(),  # pattern without 4k > m
+        replace(raw, windows=[WindowRecord(EMPTY)] * len(raw.windows)).to_bytes(),  # 4k > m, not RAW
+    ]
+    for blob in bad:
+        with pytest.raises(CorruptSketch):
+            Sketch.from_bytes(blob)
+
+
+def test_decode_medium_m_matches_reference_with_alignments():
+    """Decode-inclusive differential check at m in the hundreds: a periodic
+    instance and a lower-bound instance, several hundred pairs each."""
+    q = (0, 1, 0, 2)
+    t = list((q * 100)[:400])
+    t[390] = 3
+    lb = gen_lower_bound(508, 128, 2, seed=3)
+    for p, t in ((Str((q * 64)[:256]), Str(t)), (lb.pattern, lb.text)):
+        sk = encode(p, t, 2)
+        assert STRUCTURED in {w.kind for w in sk.windows}
+        got = decode(Sketch.from_bytes(sk.to_bytes()))
+        assert len(got) >= 300
+        assert occ_set(got) == occ_set(match_banded(p, t, 2))
+        for o in got:
+            a = optimal_alignment(p, t, o.start, o.end)
+            assert o.points == a.points
+            assert o.records == edit_info(a).records
