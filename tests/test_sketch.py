@@ -234,19 +234,14 @@ def test_unreconstructible_alignment_record_is_corrupt_sketch(tmp_path):
         assert main(["sketch", "decode", "--sketch", str(path)]) == 3
 
 
-def _periodic_structured_sketch() -> Sketch:
-    """m = 64, k = 2, n = 300: a period-5 pattern in a periodic text with one
-    substitution, so the windows are STRUCTURED."""
+def test_header_inconsistent_with_records_is_corrupt_sketch():
+    # m = 64, k = 2, n = 300: a period-5 pattern in a periodic text with one
+    # substitution, so the windows are STRUCTURED
     q = (0, 1, 2, 0, 3)
     t = list((q * 60)[:300])
     t[150] = 1
     sk = encode(Str((q * 13)[:64]), Str(t), 2)
     assert STRUCTURED in {w.kind for w in sk.windows}
-    return sk
-
-
-def test_header_inconsistent_with_records_is_corrupt_sketch():
-    sk = _periodic_structured_sketch()
     assert Sketch.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
     # header k raised from 2 to 48: the masked strings would be re-matched
     # with 4k > m and no embedded pattern
