@@ -3,8 +3,9 @@
 Everything that walks a Levenshtein lattice lives here: banded (Ukkonen-style)
 computations, semi-global sweeps for minimizing over text substrings/prefixes,
 the self-alignment table, and the canonical backtrace.  One offset-major row
-step over many starts (_band_row) serves both batched verification and the
-decoder's per-start canonical tracebacks.
+step over many band rows (_band_row) serves batched verification, the
+decoder's per-start canonical tracebacks, and the extensions of periodic
+anchors in candidate generation.
 
 The backtrace tie-break is fixed once for the whole package: at a cell, an
 aligned step (match/substitution) is preferred over a deletion, which is
@@ -164,14 +165,8 @@ def _np_codes(x: Sequence[int]) -> np.ndarray:
     return np.asarray(x, dtype=np.int32)
 
 
-def _row_sweep(
-    x: np.ndarray, u: np.ndarray, first_row: np.ndarray, rowmins: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Final DP row for pattern x against u, given the first row.
-
-    When `rowmins` is given, rowmins[i] receives the minimum of row i for
-    i >= 1; the caller fills rowmins[0].
-    """
+def _row_sweep(x: np.ndarray, u: np.ndarray, first_row: np.ndarray) -> np.ndarray:
+    """Final DP row for pattern x against u, given the first row."""
     m = len(u)
     prev = first_row
     idx = np.arange(m + 1, dtype=np.int32)
@@ -182,8 +177,6 @@ def _row_sweep(
         b[0] = prev[0] + 1
         b[1:] = body
         prev = idx + np.minimum.accumulate(b - idx)
-        if rowmins is not None:
-            rowmins[i] = prev.min()
     return prev
 
 
@@ -199,14 +192,6 @@ def prefix_cost_row(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
     xa, ua = _np_codes(x), _np_codes(u)
     first = np.arange(len(ua) + 1, dtype=np.int32)
     return _row_sweep(xa, ua, first)
-
-
-def prefix_row_minima(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
-    """M with M[i] = min_j edit_distance(x[:i], u[0:j])."""
-    xa, ua = _np_codes(x), _np_codes(u)
-    mins = np.zeros(len(xa) + 1, dtype=np.int32)
-    _row_sweep(xa, ua, np.arange(len(ua) + 1, dtype=np.int32), mins)
-    return mins
 
 
 def min_over_substrings(x: Sequence[int], u: Sequence[int]) -> Tuple[int, int, int]:
@@ -226,7 +211,8 @@ def min_over_substrings(x: Sequence[int], u: Sequence[int]) -> Tuple[int, int, i
 
 
 # ---------------------------------------------------------------------------
-# offset-major bands over many starts: verification and canonical tracebacks
+# offset-major bands over many starts: verification, anchor extensions and
+# canonical tracebacks
 
 
 def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
@@ -311,6 +297,78 @@ def batch_verify_starts(
                 if e <= n:
                     out.append((s0, e, int(V[a, b])))
     return out
+
+
+# bytes of one chunk of periodic extensions: code matrix plus band arrays
+_EXTEND_CHUNK_BYTES = 4 << 20
+
+
+def periodic_extents(
+    xs: Sequence[Sequence[int]], q: Sequence[int], r: int
+) -> Tuple[List[int], List[int]]:
+    """How far each x of xs stays within r edits of a prefix of q^inf.
+
+    With u the prefix of q^inf of length len(x) + 2 len(q), returns for each
+    x the largest a with min_j ED(x[:a], u[:j]) <= r, and the first j that
+    minimizes ED(x[:a], u[:j]).  All strings share one radius-r band stepped
+    by _band_row, with x's characters as a column against the shared u: a
+    cell of true value v <= r, and an optimal path to it, lies within
+    |j - i| <= v, so band cells are exact where the true value is at most r
+    and no lower elsewhere.  Row minima never decrease, and grow by at most
+    one per row, so a string leaves the sweep at the first row above r or
+    past its end, and rows are checked only where that can happen.
+    """
+    A = len(xs)
+    if not A:
+        return [], []
+    reach = np.zeros(A, dtype=np.int64)
+    wlen = np.zeros(A, dtype=np.int64)
+    lens = np.fromiter(map(len, xs), dtype=np.int64, count=A)
+    ql, width = len(q), 2 * r + 1
+    L = int(lens.max())
+    vdtype = np.int16 if 2 * (L + r) + 100 < 30000 else np.int32
+    inf = L + r + 50
+    # upad[r + j - 1] = u[j - 1], the character the aligned step into j consumes
+    upad = np.full(L + 2 * r + 1, -1, dtype=np.int32)
+    upad[r:] = np.resize(np.asarray(q, dtype=np.int32), L + r + 1)
+    offs = np.arange(width, dtype=vdtype)
+    d0 = np.arange(-r, r + 1)
+    row0 = np.where(d0 >= 0, d0, inf).astype(vdtype)
+    per_string = 4 * (L + 1) + width * (4 * np.dtype(vdtype).itemsize + 1)
+    chunk = max(1, _EXTEND_CHUNK_BYTES // per_string)
+    for c0 in range(0, A, chunk):
+        idx = np.arange(c0, min(A, c0 + chunk))
+        ln = lens[idx]
+        # one column past the longest string, so every string leaves the sweep
+        X = np.full((len(idx), int(ln.max()) + 1), -1, dtype=np.int32)
+        for a, x in enumerate(xs[c0 : c0 + chunk]):
+            X[a, : len(x)] = x
+        cut = (ln + 2 * ql + r)[:, None]  # column b of row i is past u iff i + b > cut
+        V = np.broadcast_to(row0, (len(idx), width)).copy()
+        np.putmask(V, offs > cut, inf)
+        M, up, neq = np.empty_like(V), np.full_like(V, inf), np.empty(V.shape, dtype=bool)
+        # first row a string can leave at; rows after clip_from can pass u's end
+        check, clip_from = 1, 0
+        for i in range(1, X.shape[1] + 1):
+            _band_row(V, M, upad[i - 1 : i - 1 + width], X[:, i - 1 : i], i, r, inf, offs, neq, up)
+            if i > clip_from:
+                np.putmask(M, offs + i > cut, inf)
+            if i >= check:
+                mins = M.min(axis=1)
+                live = (mins <= r) & (ln >= i)
+                if not live.all():
+                    gone = ~live
+                    reach[idx[gone]] = i - 1
+                    wlen[idx[gone]] = V[gone].argmin(axis=1) + (i - 1 - r)
+                    if not live.any():
+                        break
+                    idx, ln, cut, X, M, mins = idx[live], ln[live], cut[live], X[live], M[live], mins[live]
+                    V, up, neq = np.empty_like(M), np.full_like(M, inf), np.empty(M.shape, dtype=bool)
+                lmin = int(ln.min())
+                check = min(i + r - int(mins.max()), lmin) + 1
+                clip_from = lmin + 2 * ql - r
+            V, M = M, V
+    return reach.tolist(), wlen.tolist()
 
 
 # canonical step into a band cell, in tie-break order (an aligned cell's code

@@ -10,6 +10,7 @@ probabilistic completeness claims into plain superset guarantees.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import _dp
 from .alignment import CostedOccurrence
 from .analysis import Decomposition, analyze, edit_budget
-from .distance import ed_periodic_witness, end_costs, unroll
+from .distance import ed_periodic_witness, end_costs
 from .strings import exact_occurrences
 from .symbols import Str
 from .window import grow_window_structure
@@ -68,7 +69,8 @@ def _start_limit(p: Str, t: Str, k: int) -> int:
 
 
 def _verify_starts(p: Str, t: Str, k: int, starts) -> Set[CostedOccurrence]:
-    starts = [s for s in starts if 0 <= s <= _start_limit(p, t, k)]
+    lim = _start_limit(p, t, k)
+    starts = [s for s in starts if 0 <= s <= lim]
     out: Set[CostedOccurrence] = set()
     if len(starts) > 48 and len(p) > 32:
         for s0, e, c in _dp.batch_verify_starts(p.codes, t.codes, starts, k):
@@ -105,68 +107,59 @@ def candidates_breaks(p: Str, t: Str, k: int, d: Decomposition) -> CandidateSet:
 
 
 def candidates_periodic(
-    r: Str,
-    t: Str,
-    q: Str,
-    l_r: int,
-    kappa: int,
-    big_k: int,
-    base: int = 0,
-    cand: Optional[CandidateSet] = None,
+    r: Str, t: Str, q: Str, l_r: int, kappa: int, big_k: int, cand: CandidateSet
 ) -> CandidateSet:
-    """Candidate starts for occurrences of an approximately periodic string.
+    """Candidate starts in t for occurrences of an approximately periodic r.
 
-    `t` is one segment of the host text starting at absolute position `base`;
+    Runs the segment loop: segments of length 3|r|/2 start every
+    |r|/2 - kappa positions, so each occurrence lies inside one of them.
     `l_r` is the phase of r's optimal periodic extension (its start inside
-    q^inf); `big_k` is the region edit budget.  Around every exact anchor
-    occurrence of q in the segment's middle part, the segment is extended as
-    far as it stays within 2*big_k of the periodic extension; candidate
-    starts are those aligned with the period grid up to a drift of 6*big_k.
-    Segments without anchors fall back to contributing every start.
+    q^inf); `big_k` is the region edit budget.  Every exact run of q in a
+    segment's middle part gives one anchor, and the segment around it is
+    extended as far as it stays within 2*big_k of the periodic extension;
+    candidate starts are those aligned with the period grid up to a drift of
+    6*big_k.  A segment with no anchor, or more than 24, contributes every
+    start.  The anchors of all segments are extended together, one banded
+    sweep per side.
     """
-    if cand is None:
-        cand = CandidateSet(kappa if kappa else 1)
     rl, n, ql = len(r), len(t), len(q)
-    lim = n - rl + kappa
-    if lim < 0:
-        return cand
-    clip_abs = base + lim
-
+    block = max(1, rl // 2 - kappa)
+    seg_len = (3 * rl) // 2
     mid_lo = rl // 2 + kappa
     mid_hi = rl - kappa - ql
-    anchors: List[int] = []
-    if mid_lo <= mid_hi:
+    occ = exact_occurrences(q, t) if mid_lo <= mid_hi else []
+    jobs: List[Tuple[int, int, int]] = []  # (segment start, its lim, anchor within it)
+    for base in range(0, max(1, n - rl + kappa + 1), block):
+        lim = min(seg_len, n - base) - rl + kappa
+        if lim < 0:
+            continue
+        anchors: List[int] = []
         prev = None  # previous in-range occurrence: one anchor per exact run
-        for x in exact_occurrences(q, t):
-            if x < mid_lo or x > mid_hi:
-                continue
+        for x in occ[bisect_left(occ, base + mid_lo) : bisect_right(occ, base + mid_hi)]:
             if prev is None or x - prev != ql:
-                anchors.append(x)
+                anchors.append(x - base)
             prev = x
-    if not anchors or len(anchors) > 24:
-        cand.add_range(base, base + lim, clip_hi=clip_abs)
-        return cand
+        if not anchors or len(anchors) > 24:
+            cand.add_range(base, base + lim, clip_hi=base + lim)
+        else:
+            jobs.extend((base, lim, tau) for tau in anchors)
+
+    codes = np.asarray(t.codes, dtype=np.int32)
+    lefts = [codes[base : base + tau][::-1] for base, _, tau in jobs]
+    rights = [codes[base + tau + ql : base + lim + rl - kappa] for base, lim, tau in jobs]
+    reach_l, wlen_l = _dp.periodic_extents(lefts, q.reverse().codes, 2 * big_k)
+    reach_r, _ = _dp.periodic_extents(rights, q.codes, 2 * big_k)
 
     radius = 6 * big_k
-    for tau in anchors:
-        left = t.codes[:tau][::-1]
-        u_left = unroll(q.reverse(), tau + 2 * ql)
-        ok = np.nonzero(_dp.prefix_row_minima(left, u_left) <= 2 * big_k)[0]
-        amax = int(ok.max()) if len(ok) else 0
+    for (base, lim, tau), amax, wlen, bmax in zip(jobs, reach_l, wlen_l, reach_r):
         i2 = tau - amax
-        wlen_l = int(np.argmin(_dp.prefix_cost_row(left[:amax], u_left)))
-        right = t.codes[tau + ql :]
-        rowmins_r = _dp.prefix_row_minima(right, unroll(q, len(right) + 2 * ql))
-        ok = np.nonzero(rowmins_r <= 2 * big_k)[0]
-        bmax = int(ok.max()) if len(ok) else 0
         j2 = tau + ql + bmax
-
-        residue = (i2 + l_r + wlen_l) % ql
+        residue = (i2 + l_r + wlen) % ql
         x_lo, x_hi = i2, min(j2 - rl + kappa, lim)
         if x_hi < x_lo:
             continue
         if 2 * radius + 1 >= ql:
-            cand.add_range(base + x_lo, base + x_hi, clip_hi=clip_abs)
+            cand.add_range(base + x_lo, base + x_hi, clip_hi=base + lim)
             continue
         g0 = x_lo + ((residue - x_lo) % ql)
         g = g0 - ql
@@ -174,7 +167,7 @@ def candidates_periodic(
             cand.add_range(
                 base + max(x_lo, g - radius),
                 base + min(x_hi, g + radius),
-                clip_hi=clip_abs,
+                clip_hi=base + lim,
             )
             g += ql
     return cand
@@ -182,19 +175,10 @@ def candidates_periodic(
 
 def _region_occurrence_starts(r: Str, t: Str, kappa: int, q: Str, big_k: int) -> Set[int]:
     """Exact starts of Occ^E_kappa(r, t) via the periodic candidate machinery."""
-    rl = len(r)
     if kappa == 0:
-        return set(exact_occurrences(r, t)) if rl <= len(t) else set()
+        return set(exact_occurrences(r, t)) if len(r) <= len(t) else set()
     _, l_r, _ = ed_periodic_witness(r, q, "substring")
-    cand = CandidateSet(kappa)
-    block = max(1, rl // 2 - kappa)
-    seg_len = (3 * rl) // 2
-    i = 0
-    while i < max(1, len(t) - rl + kappa + 1):
-        seg = t[i : i + seg_len]
-        if len(seg) >= rl - kappa:
-            candidates_periodic(r, seg, q, l_r, kappa, big_k, base=i, cand=cand)
-        i += block
+    cand = candidates_periodic(r, t, q, l_r, kappa, big_k, CandidateSet(kappa))
     occ = _verify_starts(r, t, kappa, cand.sorted_starts())
     return {o.start for o in occ}
 
@@ -227,19 +211,9 @@ def candidates_regions(p: Str, t: Str, k: int, d: Decomposition) -> CandidateSet
 def candidates_approx_period(p: Str, t: Str, k: int, d: Decomposition) -> CandidateSet:
     """Whole-pattern periodic case: the pattern itself is the region."""
     m = len(p)
-    q = d.period
     big_k = edit_budget(m, k, m)  # = 8k
-    _, l_r, _ = ed_periodic_witness(p, q, "substring")
-    cand = CandidateSet(k)
-    block = max(1, m // 2 - k)
-    seg_len = (3 * m) // 2
-    i = 0
-    while i < max(1, len(t) - m + k + 1):
-        seg = t[i : i + seg_len]
-        if len(seg) >= m - k:
-            candidates_periodic(p, seg, q, l_r, k, big_k, base=i, cand=cand)
-        i += block
-    return cand
+    _, l_r, _ = ed_periodic_witness(p, d.period, "substring")
+    return candidates_periodic(p, t, d.period, l_r, k, big_k, CandidateSet(k))
 
 
 # ---------------------------------------------------------------------------

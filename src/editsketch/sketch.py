@@ -429,8 +429,6 @@ def decode(sk: Sketch) -> List[DecodedOccurrence]:
         if w.kind == SINGLE:
             a = w.aligns[0]
             pts = _points_of(a, sk.m)
-            if pts[-1][1] != a.rel_end:
-                raise CorruptSketch("single record endpoint mismatch")
             key = (w.lo + a.rel_start, w.lo + a.rel_end)
             if key not in out:
                 _store(out, w.lo, key, len(a.records), pts, a.records)
@@ -441,6 +439,12 @@ def decode(sk: Sketch) -> List[DecodedOccurrence]:
 
 
 def _points_of(a: AlignRec, m: int):
+    """The m + 1 path points of an alignment record, after checking its
+    endpoint against the records in time linear in their number."""
+    dels = sum(cy is None for _, _, _, cy in a.records)
+    ins = sum(cx is None for _, cx, _, _ in a.records)
+    if a.rel_end != a.rel_start + m - dels + ins:
+        raise CorruptSketch("alignment record endpoint mismatch")
     try:
         return reconstruct_points(list(a.records), m, a.rel_start, a.identity)
     except CorruptEditInfo as exc:
@@ -466,12 +470,9 @@ def _decode_structured(sk: Sketch, w: WindowRecord):
     m, crop_len, k = sk.m, w.crop_len, sk.k
     members = []
     for a in w.aligns:
-        pts = _points_of(a, m)
-        if pts[-1][1] != a.rel_end:
-            raise CorruptSketch("alignment record endpoint mismatch")
         if not (0 <= a.rel_start and a.rel_end <= crop_len):
             raise CorruptSketch("alignment outside the crop")
-        members.append((pts, frozenset(a.records)))
+        members.append((_points_of(a, m), frozenset(a.records)))
     s = AlignmentSet(Str([0] * m), Str([0] * crop_len), members, k)
     g = build_graph(s.pattern, s.text, s)
 

@@ -193,12 +193,50 @@ def test_row_sweep_rows_and_minima_match_brute_tables(rng):
         xa, ua = np.asarray(x, dtype=np.int32), np.asarray(u, dtype=np.int32)
         prefix, free = brute_table(x, u, False), brute_table(x, u, True)
         for table, first in ((prefix, np.arange(len(u) + 1, dtype=np.int32)), (free, np.zeros(len(u) + 1, np.int32))):
-            mins = np.zeros(len(x) + 1, dtype=np.int32)
-            assert _dp._row_sweep(xa, ua, first, mins).tolist() == table[-1]
-            assert mins[1:].tolist() == [min(row) for row in table[1:]]
+            assert _dp._row_sweep(xa, ua, first).tolist() == table[-1]
         assert _dp.prefix_cost_row(x, u).tolist() == prefix[-1]
         assert _dp.semiglobal_end_row(x, u).tolist() == free[-1]
-        assert _dp.prefix_row_minima(x, u).tolist() == [min(row) for row in prefix]
+        if u:  # row minima against q^inf, q = u: row i's is the least r that reaches row i
+            periodic = brute_table(x, (u * (len(x) + 2))[: len(x) + 2 * len(u)], False)
+            reach = [_dp.periodic_extents([x], u, r)[0][0] for r in range(len(x) + 1)]
+            assert [sum(a < i for a in reach) for i in range(len(x) + 1)] == [min(row) for row in periodic]
+
+
+def _near_periodic(rng, q, n, edits, sigma):
+    """A prefix of q^inf of length n with random edits, every other one a deletion."""
+    x = list((q * (n + 1))[:n])
+    for e in range(edits):
+        pos = rng.randrange(len(x) + 1)
+        op = "del" if e % 2 == 0 else rng.choice(("sub", "ins"))
+        if op == "del" and pos < len(x):
+            x.pop(pos)
+        elif op == "sub" and pos < len(x):
+            x[pos] = rng.randrange(sigma)
+        else:
+            x.insert(pos, rng.randrange(sigma))
+    return tuple(x)
+
+
+def test_periodic_extents_match_brute_tables(rng):
+    """Reach and first argmin of every string of a mixed batch against the
+    brute prefix table of q^inf, including empty strings and radii past 2|q|,
+    where band cells run past each string's own end of q^inf."""
+    clipped = 0
+    for _ in range(20):
+        sigma = rng.choice((2, 3))
+        q = random_codes(rng, rng.randint(1, 3), sigma)
+        r = rng.randint(0, 6)
+        xs = [()] + [random_codes(rng, rng.randint(0, 40), sigma) for _ in range(rng.randint(0, 2))]
+        xs += [_near_periodic(rng, q, rng.randint(0, 40), rng.randint(0, r + 3), sigma) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(xs)
+        reach, wlen = _dp.periodic_extents(xs, q, r)
+        for x, a, j in zip(xs, reach, wlen):
+            table = brute_table(x, (q * (len(x) + 2))[: len(x) + 2 * len(q)], False)
+            want = max(i for i, row in enumerate(table) if min(row) <= r)
+            assert (a, j) == (want, table[want].index(min(table[want])))
+        clipped += r > 2 * len(q) and any(a == len(x) > 0 for x, a in zip(xs, reach))
+    assert clipped >= 3
+    assert _dp.periodic_extents([], (0, 1), 3) == ([], [])
 
 
 def test_canonical_alignments_match_optimal_alignment(rng):

@@ -1,5 +1,6 @@
 import random
 
+from editsketch import _dp
 from editsketch.analysis import analyze
 from editsketch.matcher import (
     assert_superset,
@@ -120,6 +121,56 @@ def test_candidates_periodic_superset(rng):
         assert_superset(p, t, k, cand)
         hits += 1
     assert hits >= 10
+
+
+def _noisy_period_text(rng, p, q, k, copies):
+    """Copies of p with up to k edits, each after 2|p| characters of q^inf
+    with every third one changed, where anchor extensions stop early."""
+    t = []
+    for _ in range(copies):
+        noise = list((q * (2 * len(p)))[: 2 * len(p)])
+        for pos in range(rng.randrange(3), len(noise), 3):
+            noise[pos] = (noise[pos] + 1) % 3
+        t += noise + list(planted_text(rng, p, k, 3, reps=1, pad=0))
+    return Str(t)
+
+
+def test_periodic_candidates_superset_on_long_texts(monkeypatch):
+    """Texts of many segments with several anchors each, all extended in one
+    batch; the same candidates come out with one anchor per chunk."""
+    batches = []
+    extents = _dp.periodic_extents
+
+    def recorded(xs, q, r):
+        batches.append(len(xs))
+        return extents(xs, q, r)
+
+    monkeypatch.setattr(_dp, "periodic_extents", recorded)
+    k, m = 1, 128
+    cases = []
+    for seed in range(6):
+        local = random.Random(2000 + seed)
+        kind = ("period", "regions")[seed % 2]
+        p = decomposition_pattern(local, kind, m, k)
+        d = analyze(p, k)
+        if d.kind != kind:
+            continue
+        if kind == "period":
+            t = _noisy_period_text(local, p.codes, d.period.codes, k, 3)
+            cand = candidates_approx_period(p, t, k, d)
+        else:
+            t = Str(planted_text(local, p.codes, k, 3, reps=6, pad=20))
+            cand = candidates_regions(p, t, k, d)
+        assert_superset(p, t, k, cand)
+        assert len(cand.starts) < len(t) - m + k  # the extensions did exclude starts
+        cases.append((kind, p, t, d, cand.starts))
+    assert {kind for kind, *_ in cases} == {"period", "regions"}
+    assert min(batches) >= 16
+
+    monkeypatch.setattr(_dp, "_EXTEND_CHUNK_BYTES", 1)
+    for kind, p, t, d, starts in cases:
+        run = candidates_approx_period if kind == "period" else candidates_regions
+        assert run(p, t, k, d).starts == starts
 
 
 def test_verify_routes_agree(rng):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import editsketch.sketch as sketch_module
 from editsketch.cli import main
 from editsketch.distance import optimal_alignment
 from editsketch.alignment import edit_info
@@ -234,14 +235,19 @@ def test_unreconstructible_alignment_record_is_corrupt_sketch(tmp_path):
         assert main(["sketch", "decode", "--sketch", str(path)]) == 3
 
 
-def test_header_inconsistent_with_records_is_corrupt_sketch():
-    # m = 64, k = 2, n = 300: a period-5 pattern in a periodic text with one
-    # substitution, so the windows are STRUCTURED
+def _structured_sketch() -> Sketch:
+    """m = 64, k = 2, n = 300: a period-5 pattern in a periodic text with one
+    substitution, so the windows are STRUCTURED."""
     q = (0, 1, 2, 0, 3)
     t = list((q * 60)[:300])
     t[150] = 1
     sk = encode(Str((q * 13)[:64]), Str(t), 2)
     assert STRUCTURED in {w.kind for w in sk.windows}
+    return sk
+
+
+def test_header_inconsistent_with_records_is_corrupt_sketch():
+    sk = _structured_sketch()
     assert Sketch.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
     # header k raised from 2 to 48: the masked strings would be re-matched
     # with 4k > m and no embedded pattern
@@ -267,6 +273,19 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
     for blob in bad:
         with pytest.raises(CorruptSketch):
             Sketch.from_bytes(blob)
+
+
+def test_header_m_is_checked_before_points_are_expanded(monkeypatch):
+    """A corrupted header m is caught from the records' endpoints alone,
+    before any record is expanded to m + 1 points."""
+    sk = replace(_structured_sketch(), m=10**6)
+
+    def expanded(*args, **kwargs):
+        raise AssertionError("reconstruct_points ran before the endpoint check")
+
+    monkeypatch.setattr(sketch_module, "reconstruct_points", expanded)
+    with pytest.raises(CorruptSketch):
+        decode(sk)
 
 
 def test_decode_medium_m_matches_reference_with_alignments():
