@@ -3,9 +3,21 @@
 Everything that walks a Levenshtein lattice lives here: banded (Ukkonen-style)
 computations, semi-global sweeps for minimizing over text substrings/prefixes,
 the self-alignment table, and the canonical backtrace.  One offset-major row
-step over many band rows (_band_row) serves batched verification, the
-decoder's per-start canonical tracebacks, and the extensions of periodic
-anchors in candidate generation.
+step over many band rows (_band_row) serves three kernels:
+
+- batch_verify_starts (verification of candidate starts) drops a start once
+  its band row minimum exceeds k;
+- periodic_extents (extensions of periodic anchors in candidate generation)
+  drops a string once its row minimum exceeds the radius or it ends;
+- canonical_alignments (the decoder's per-start tracebacks) keeps every row,
+  since each of its pairs costs at most k and is traced back from row m.
+
+Dropping is Ukkonen's cutoff ("Finding approximate patterns in strings",
+J. Algorithms 6, 1985), and it is exact: every band cell is reached from a
+cell of the row above that costs no more, so a row minimum never decreases,
+and once it exceeds the threshold no later cell is within it.  Because the
+aligned step keeps its band column, a row minimum also grows by at most one
+per row, which tells the first row where a minimum can pass the threshold.
 
 The backtrace tie-break is fixed once for the whole package: at a cell, an
 aligned step (match/substitution) is preferred over a deletion, which is
@@ -226,10 +238,14 @@ def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
     """
     n, m = len(t), len(x)
     win = m + 2 * k  # per-start character window: offsets i-1+d, d in [-k, k]
-    max_code = max(max(t, default=0), max(x))
+    try:  # codes below 256 convert at C speed
+        ta = np.frombuffer(bytes(t), dtype=np.uint8)
+    except ValueError:
+        ta = np.asarray(t, dtype=np.int64)
+    max_code = max(int(ta.max(initial=0)), max(x))
     cdtype = np.int16 if max_code < 30000 else np.int32
     ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
-    ta_pad[k : k + n] = np.asarray(t, dtype=cdtype)
+    ta_pad[k : k + n] = ta
     windows = np.lib.stride_tricks.sliding_window_view(ta_pad, win)
     vdtype = np.int16 if 2 * (m + k) + 100 < 30000 else np.int32
     inf = (m + k) + 50
@@ -257,6 +273,10 @@ def _band_row(prev, out, chars, xi, i, k, inf, offs, neq, up) -> None:
         out[:, : k - i] = inf
 
 
+# fewest band rows between two checks of the live starts in batch_verify_starts
+_CHECK_GAP = 8
+
+
 def batch_verify_starts(
     x: Sequence[int], t: Sequence[int], starts: Sequence[int], k: int
 ) -> List[Tuple[int, int, int]]:
@@ -264,6 +284,17 @@ def batch_verify_starts(
 
     Vectorized across starts; equivalent to running end_costs_for_start on
     each start.  The output filter drops ends beyond the text.
+
+    A start is dropped once its band row minimum exceeds k (Ukkonen's
+    cutoff).  This is exact: every band cell is reached from a cell of the
+    row above that costs no more, so row minima never decrease, and a start
+    whose minimum passes k has no last-row cell within k.  Since the aligned
+    step keeps its column, a minimum also grows by at most one per row, so
+    the first row where a live start can pass k is i + k - (largest live
+    minimum) + 1; minima are checked only from there, at least _CHECK_GAP
+    rows apart.  A chunk is shrunk to its live starts only once at most half
+    of them are live (a dead start costs only its share of each row), and
+    its remaining rows are skipped once none is.
     """
     if not len(starts):
         return []
@@ -281,21 +312,40 @@ def batch_verify_starts(
         st = np.asarray(st_all[c0 : c0 + chunk], dtype=np.int64)
         S = len(st)
         W = windows_all[st]
+        w0 = 0  # W's column w - w0 holds window column w
         V = np.broadcast_to(row0, (S, width)).copy()
         M = np.empty_like(V)
         up = np.full_like(V, inf)
         neq = np.empty((S, width), dtype=bool)
+        check = max(k + 1, _CHECK_GAP)
         for i in range(1, m + 1):
-            _band_row(V, M, W[:, i - 1 : i - 1 + width], x[i - 1], i, k, inf, offs, neq, up)
+            c = i - 1 - w0
+            _band_row(V, M, W[:, c : c + width], x[i - 1], i, k, inf, offs, neq, up)
             V, M = M, V
-        ok = V <= k
-        if ok.any():
-            si, di = np.nonzero(ok)
-            for a, b in zip(si.tolist(), di.tolist()):
-                s0 = int(st[a])
-                e = s0 + m + (b - k)
-                if e <= n:
-                    out.append((s0, e, int(V[a, b])))
+            if i < check or i == m:
+                continue
+            mins = V.min(axis=1)
+            top = int(mins.max())  # the largest live minimum
+            if top > k:
+                live = mins <= k
+                n_live = int(np.count_nonzero(live))
+                if not n_live:
+                    break
+                if 2 * n_live <= len(st):
+                    st, W, V = st[live], W[live, c + 1 :], V[live]
+                    w0 = i
+                    M, up, neq = np.empty_like(V), np.full_like(V, inf), np.empty(V.shape, dtype=bool)
+                top = int(mins[live].max())
+            check = i + max(_CHECK_GAP, k - top + 1)
+        else:
+            ok = V <= k
+            if ok.any():
+                si, di = np.nonzero(ok)
+                for a, b in zip(si.tolist(), di.tolist()):
+                    s0 = int(st[a])
+                    e = s0 + m + (b - k)
+                    if e <= n:
+                        out.append((s0, e, int(V[a, b])))
     return out
 
 

@@ -217,12 +217,16 @@ class Sketch:
                 syms = tuple(r.varint() for _ in range(ln))
                 windows.append(WindowRecord(RAW, lo=lo, symbols=syms))
             elif kind == SINGLE:
-                a = _read_alignrec(r, k)
+                a = _read_alignrec(r, k, n - lo)
                 windows.append(WindowRecord(SINGLE, lo=lo, crop_len=a.rel_end, aligns=(a,)))
             elif kind == STRUCTURED:
+                # the crop runs from a pair start in the block to a pair end
+                # at most the window end
                 crop_len = r.varint()
+                if lo + crop_len > n or crop_len > split_blocks(n, m, k)[1]:
+                    raise CorruptSketch("window crop beyond the text or the window span")
                 na = r.varint()
-                aligns = tuple(_read_alignrec(r, k) for _ in range(na))
+                aligns = tuple(_read_alignrec(r, k, crop_len) for _ in range(na))
                 niv = r.varint()
                 ivs = []
                 for _ in range(niv):
@@ -258,9 +262,11 @@ def _write_alignrec(buf: bytearray, a: AlignRec) -> None:
         _put(buf, 0 if cy is None else cy + 1)
 
 
-def _read_alignrec(r: _Reader, k: int) -> AlignRec:
+def _read_alignrec(r: _Reader, k: int, crop_len: int) -> AlignRec:
     rel_start = r.varint()
     rel_end = r.varint()
+    if not rel_start <= rel_end <= crop_len:
+        raise CorruptSketch("alignment outside the crop")
     ident = r.u8()
     nr = r.varint()
     if nr > k:
@@ -468,11 +474,7 @@ def _store(out, lo, key, cost, pts, recs) -> None:
 
 def _decode_structured(sk: Sketch, w: WindowRecord):
     m, crop_len, k = sk.m, w.crop_len, sk.k
-    members = []
-    for a in w.aligns:
-        if not (0 <= a.rel_start and a.rel_end <= crop_len):
-            raise CorruptSketch("alignment outside the crop")
-        members.append((_points_of(a, m), frozenset(a.records)))
+    members = [(_points_of(a, m), frozenset(a.records)) for a in w.aligns]
     s = AlignmentSet(Str([0] * m), Str([0] * crop_len), members, k)
     g = build_graph(s.pattern, s.text, s)
 

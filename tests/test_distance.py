@@ -25,6 +25,7 @@ from conftest import (
     brute_occ_pairs,
     brute_suffix_min,
     brute_table,
+    planted_text,
     random_codes,
 )
 
@@ -260,14 +261,42 @@ def test_canonical_alignments_match_optimal_alignment(rng):
 
 
 def test_batch_verify_starts_matches_end_costs_per_start(rng):
+    def check(p, t, starts, k):
+        want = sorted(
+            (s0, e, c) for s0 in starts for e, c in _dp.end_costs_for_start(p, t, s0, k).items()
+        )
+        assert sorted(_dp.batch_verify_starts(p, t, sorted(starts), k)) == want
+        return want
+
     for _ in range(150):
         k = rng.randint(0, 4)
         sigma = rng.choice((2, 3))
         p = random_codes(rng, rng.randint(1, 10), sigma)
         t = random_codes(rng, rng.randint(0, len(p) + 2 * k + 6), sigma)
         n = len(t)
-        starts = set(rng.sample(range(n + 1), rng.randint(0, n + 1))) | set(range(max(0, n - k), n + 1))
-        want = sorted(
-            (s0, e, c) for s0 in starts for e, c in _dp.end_costs_for_start(p, t, s0, k).items()
-        )
-        assert sorted(_dp.batch_verify_starts(p, t, sorted(starts), k)) == want
+        check(p, t, set(rng.sample(range(n + 1), rng.randint(0, n + 1))) | set(range(max(0, n - k), n + 1)), k)
+
+    # m from 40 to 120 on texts where most starts are false: band minima are
+    # checked and the chunk shrinks to its live starts, or is dropped whole
+    some_live = all_dead = 0
+    for case in range(30):
+        m = rng.randint(40, 120)
+        k = 0 if case % 5 == 0 else rng.randint(1, 6)
+        sigma = rng.choice((2, 4))
+        p = random_codes(rng, m, sigma)
+        t = planted_text(rng, p, k, sigma, reps=case % 3, pad=2 * m)
+        n = len(t)
+        starts = set(rng.sample(range(n + 1), min(n + 1, 100))) | set(range(max(0, n - m - k), n + 1))
+        want = check(p, t, starts, k)
+        some_live += bool(want)
+        all_dead += not want
+    assert some_live >= 5 and all_dead >= 5
+
+    # an exact copy lives until the last row; a copy missing its last
+    # character ends at the text end, so its band runs past it
+    for k in (0, 1, 3):
+        p = random_codes(rng, 96, 4)
+        t = random_codes(rng, 150, 4) + p + random_codes(rng, 150, 4) + p[:-1]
+        got = check(p, t, range(len(t) + 1), k)
+        assert (150, 246, 0) in got
+        assert ((396, len(t), 1) in got) == (k > 0)

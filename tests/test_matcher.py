@@ -82,8 +82,7 @@ def test_candidates_breaks_bucket_bound(rng):
         # |Occ(B, T)| <= ceil(|T|/per(B)) <= 192k per break, 2k breaks,
         # each start widened to at most 2k+1 positions
         assert len(cand.buckets()) <= 2 * k * (len(t) * 128 * k // m + 1) * 4
-    # and candidate sets stay supersets under bucketing
-    assert True
+        assert_superset(p, t, k, cand)
 
 
 def test_candidates_regions_superset(rng):

@@ -9,6 +9,7 @@ from editsketch.distance import optimal_alignment
 from editsketch.alignment import edit_info
 from editsketch.matcher import match_banded
 from editsketch.sketch import (
+    AlignRec,
     BadParams,
     CorruptSketch,
     EMPTY,
@@ -259,9 +260,13 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
     a = next(a for a in w.aligns if a.records)
     padded = replace(a, records=a.records + tuple((40 + i, 0, 40 + i, 1) for i in range(3)))
 
-    def with_window(new):
-        return replace(sk, windows=sk.windows[:at] + [new] + sk.windows[at + 1 :]).to_bytes()
+    def with_window(new, i=at):
+        return replace(sk, windows=sk.windows[:i] + [new] + sk.windows[i + 1 :]).to_bytes()
 
+    end = len(sk.windows) - 2  # STRUCTURED, its crop ends at the text end
+    v = sk.windows[end]
+    assert v.kind == STRUCTURED and v.lo + v.crop_len == sk.n
+    span = split_blocks(sk.n, sk.m, sk.k)[1]
     raw = encode(S("abc"), S("xxabcxy"), 2, chars=True)
     bad = [
         with_window(replace(w, lo=sk.n)),  # window starts past the text
@@ -269,6 +274,13 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
         with_window(WindowRecord(RAW, lo=w.lo, symbols=(0, 1))),  # RAW without 4k > m
         replace(sk, pattern=(0,) * sk.m).to_bytes(),  # pattern without 4k > m
         replace(raw, windows=[WindowRecord(EMPTY)] * len(raw.windows)).to_bytes(),  # 4k > m, not RAW
+        # crop 121 -> 4*10**6: decode would build tables of that length
+        with_window(replace(w, crop_len=4 * 10**6)),
+        with_window(replace(w, crop_len=span + 1)),  # crop longer than a window
+        with_window(replace(v, crop_len=v.crop_len + 1), end),  # crop past the text
+        with_window(replace(w, aligns=(replace(a, rel_end=w.crop_len + 1),) + w.aligns[1:])),  # ends past the crop
+        with_window(replace(w, aligns=(replace(a, rel_start=a.rel_end + 1),) + w.aligns[1:])),  # starts after its end
+        with_window(WindowRecord(SINGLE, lo=sk.n - sk.m + 1, aligns=(AlignRec(0, sk.m, True, ()),))),  # past the text
     ]
     for blob in bad:
         with pytest.raises(CorruptSketch):
