@@ -325,7 +325,7 @@ def batch_verify_starts(
             if i < check or i == m:
                 continue
             mins = V.min(axis=1)
-            top = int(mins.max())  # the largest live minimum
+            top = int(mins.max())  # the largest live minimum, if none is dead
             if top > k:
                 live = mins <= k
                 n_live = int(np.count_nonzero(live))

@@ -274,7 +274,8 @@ def test_batch_verify_starts_matches_end_costs_per_start(rng):
         p = random_codes(rng, rng.randint(1, 10), sigma)
         t = random_codes(rng, rng.randint(0, len(p) + 2 * k + 6), sigma)
         n = len(t)
-        check(p, t, set(rng.sample(range(n + 1), rng.randint(0, n + 1))) | set(range(max(0, n - k), n + 1)), k)
+        starts = set(rng.sample(range(n + 1), rng.randint(0, n + 1))) | set(range(max(0, n - k), n + 1))
+        check(p, t, starts, k)
 
     # m from 40 to 120 on texts where most starts are false: band minima are
     # checked and the chunk shrinks to its live starts, or is dropped whole

@@ -24,28 +24,24 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
-# direction of each end-to-end metric, as declared in BENCHMARK.json
-HIGHER_IS_BETTER = {"match_sym_per_s", "encode_sym_per_s", "decode_sym_per_s"}
 TRACED = ("matcher.verify_s", "matcher.candidates_s", "matcher.find_occurrences_self_s",
           "matcher.candidate_starts", "matcher.true_starts")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> Dict:
-    """One perfbench run; returns its stamp and its final result line."""
+    """One perfbench run: the revision it stamped and its final result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     stamp = next(json.loads(x)["stamp"] for x in lines if x.startswith('{"stamp"'))
-    result = json.loads(lines[-1])
-    if trace:  # the traced run prints its layer metrics as text only
-        layers = {}
-        for x in lines:
-            parts = x.split()
-            if len(parts) >= 3 and parts[0] in TRACED:
-                layers[parts[0]] = float(parts[1])
-        result["layers"] = layers
-    return {"revision": stamp["revision"], "result": result}
+    return {"revision": stamp["revision"], "result": json.loads(lines[-1])}
+
+
+def traced(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+    """The TRACED layer metrics of one --trace 1 run."""
+    got = run(checkout, workload, seed, seconds, trace=1)["result"]["metrics"]
+    return {m: got[m]["value"] for m in TRACED}
 
 
 def summary(values: List[float]) -> Dict[str, float]:
@@ -70,6 +66,8 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent, "change": args.change}
     seeds = seeds_of(args.seeds)
+    if len(seeds) < 2:
+        ap.error("quartiles need at least two seeds")
     runs: Dict[str, List[Dict]] = {"parent": [], "change": []}
     revisions: Dict[str, str] = {}
     for i, seed in enumerate(seeds):
@@ -84,6 +82,8 @@ def main(argv=None) -> int:
             print(f"seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
 
     metrics = sorted(runs["parent"][0]["metrics"])
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    higher = {d["name"] for d in declared if d["better"] == "higher"}
     row = {
         "workload": args.workload,
         "seconds": args.seconds,
@@ -95,12 +95,11 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     for m in metrics:
-        better = (lambda c, p: c > p) if m in HIGHER_IS_BETTER else (lambda c, p: c < p)
+        better = (lambda c, p: c > p) if m in higher else (lambda c, p: c < p)
         row["change_wins"][m] = sum(
             better(c["metrics"][m], p["metrics"][m]) for p, c in zip(runs["parent"], runs["change"]))
-    row["traced"] = {side: run(sides[side], args.workload, seeds[0], args.seconds, trace=1)["result"]["layers"]
-                     for side in sides}
     row["traced_seed"] = seeds[0]
+    row["traced"] = {side: traced(sides[side], args.workload, seeds[0], args.seconds) for side in sides}
     args.out.write_text(json.dumps(row, indent=1, sort_keys=True) + "\n")
     return 0
 
