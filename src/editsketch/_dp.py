@@ -238,14 +238,10 @@ def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
     """
     n, m = len(t), len(x)
     win = m + 2 * k  # per-start character window: offsets i-1+d, d in [-k, k]
-    try:  # codes below 256 convert at C speed
-        ta = np.frombuffer(bytes(t), dtype=np.uint8)
-    except ValueError:
-        ta = np.asarray(t, dtype=np.int64)
-    max_code = max(int(ta.max(initial=0)), max(x))
+    max_code = max(max(t, default=0), max(x))
     cdtype = np.int16 if max_code < 30000 else np.int32
     ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
-    ta_pad[k : k + n] = ta
+    ta_pad[k : k + n] = np.asarray(t, dtype=cdtype)
     windows = np.lib.stride_tricks.sliding_window_view(ta_pad, win)
     vdtype = np.int16 if 2 * (m + k) + 100 < 30000 else np.int32
     inf = (m + k) + 50

@@ -474,7 +474,11 @@ def _store(out, lo, key, cost, pts, recs) -> None:
 
 def _decode_structured(sk: Sketch, w: WindowRecord):
     m, crop_len, k = sk.m, w.crop_len, sk.k
-    members = [(_points_of(a, m), frozenset(a.records)) for a in w.aligns]
+    members = []
+    for a in w.aligns:  # also checked when parsed; a sketch built in memory is not
+        if not (0 <= a.rel_start and a.rel_end <= crop_len):
+            raise CorruptSketch("alignment outside the crop")
+        members.append((_points_of(a, m), frozenset(a.records)))
     s = AlignmentSet(Str([0] * m), Str([0] * crop_len), members, k)
     g = build_graph(s.pattern, s.text, s)
 

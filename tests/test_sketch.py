@@ -300,6 +300,25 @@ def test_header_m_is_checked_before_points_are_expanded(monkeypatch):
         decode(sk)
 
 
+def test_in_memory_record_outside_its_crop_is_corrupt_sketch(monkeypatch):
+    """decode checks the crop of a sketch built in memory, which from_bytes
+    never saw, before any record is expanded to points."""
+    sk = _structured_sketch()
+    at = next(i for i, w in enumerate(sk.windows) if w.kind == STRUCTURED)
+    w = sk.windows[at]
+    a = w.aligns[0]
+    shift = w.crop_len - a.rel_end + 1  # same length, one past the crop end
+    moved = replace(a, rel_start=a.rel_start + shift, rel_end=a.rel_end + shift)
+    bad = replace(sk, windows=sk.windows[:at] + [replace(w, aligns=(moved,) + w.aligns[1:])] + sk.windows[at + 1 :])
+
+    def expanded(*args, **kwargs):
+        raise AssertionError("reconstruct_points ran before the crop check")
+
+    monkeypatch.setattr(sketch_module, "reconstruct_points", expanded)
+    with pytest.raises(CorruptSketch):
+        decode(bad)
+
+
 def test_decode_medium_m_matches_reference_with_alignments():
     """Decode-inclusive differential check at m in the hundreds: a periodic
     instance and a lower-bound instance, several hundred pairs each."""

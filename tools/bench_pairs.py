@@ -3,7 +3,8 @@
 Runs ``perfbench/run.py`` in two git checkouts, the parent commit and the
 change, once per seed each, alternating which side runs first, and keeps
 the JSON object each run prints on its last line.  Then one ``--trace 1``
-run per side gives the per-layer seconds.  perfbench itself is not touched.
+run per side gives the per-layer seconds.  Every run lasts the benchmark's
+``run_seconds`` from BENCHMARK.json.  perfbench itself is not touched.
 
     python3 tools/bench_pairs.py --workload scan-breaks \\
         --parent ../parent --change . --seeds 41-50 --out BENCH_scan-breaks.json
@@ -60,11 +61,12 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--seeds", required=True, help="inclusive range, e.g. 41-50")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     seeds = seeds_of(args.seeds)
     if len(seeds) < 2:
         ap.error("quartiles need at least two seeds")
@@ -73,7 +75,7 @@ def main(argv=None) -> int:
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            got = run(sides[side], args.workload, seed, args.seconds, trace=0)
+            got = run(sides[side], args.workload, seed, seconds, trace=0)
             revisions[side] = got["revision"]
             res = got["result"]
             runs[side].append({"seed": seed, "first": order[0] == side, "correct": res["correct"],
@@ -82,11 +84,10 @@ def main(argv=None) -> int:
             print(f"seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
 
     metrics = sorted(runs["parent"][0]["metrics"])
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    higher = {d["name"] for d in declared if d["better"] == "higher"}
+    higher = {d["name"] for d in bench["end_to_end"] if d["better"] == "higher"}
     row = {
         "workload": args.workload,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": seeds,
         "revisions": revisions,
         "summary": {side: {m: summary([r["metrics"][m] for r in runs[side]]) for m in metrics}
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
         row["change_wins"][m] = sum(
             better(c["metrics"][m], p["metrics"][m]) for p, c in zip(runs["parent"], runs["change"]))
     row["traced_seed"] = seeds[0]
-    row["traced"] = {side: traced(sides[side], args.workload, seeds[0], args.seconds) for side in sides}
+    row["traced"] = {side: traced(sides[side], args.workload, seeds[0], seconds) for side in sides}
     args.out.write_text(json.dumps(row, indent=1, sort_keys=True) + "\n")
     return 0
 
