@@ -288,35 +288,27 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
 
 
 def test_header_m_is_checked_before_points_are_expanded(monkeypatch):
-    """A corrupted header m is caught from the records' endpoints alone,
-    before any record is expanded to m + 1 points."""
-    sk = replace(_structured_sketch(), m=10**6)
-
-    def expanded(*args, **kwargs):
-        raise AssertionError("reconstruct_points ran before the endpoint check")
-
-    monkeypatch.setattr(sketch_module, "reconstruct_points", expanded)
-    with pytest.raises(CorruptSketch):
-        decode(sk)
-
-
-def test_in_memory_record_outside_its_crop_is_corrupt_sketch(monkeypatch):
-    """decode checks the crop of a sketch built in memory, which from_bytes
-    never saw, before any record is expanded to points."""
+    """A corrupted header m is caught from the records' endpoints alone, and
+    a record past its crop in a sketch built in memory (which from_bytes
+    never saw) from its crop, before any record is expanded to m + 1 points."""
     sk = _structured_sketch()
     at = next(i for i, w in enumerate(sk.windows) if w.kind == STRUCTURED)
     w = sk.windows[at]
     a = w.aligns[0]
     shift = w.crop_len - a.rel_end + 1  # same length, one past the crop end
     moved = replace(a, rel_start=a.rel_start + shift, rel_end=a.rel_end + shift)
-    bad = replace(sk, windows=sk.windows[:at] + [replace(w, aligns=(moved,) + w.aligns[1:])] + sk.windows[at + 1 :])
+    bad = [
+        replace(sk, m=10**6),
+        replace(sk, windows=sk.windows[:at] + [replace(w, aligns=(moved,) + w.aligns[1:])] + sk.windows[at + 1 :]),
+    ]
 
     def expanded(*args, **kwargs):
-        raise AssertionError("reconstruct_points ran before the crop check")
+        raise AssertionError("reconstruct_points ran before the record checks")
 
     monkeypatch.setattr(sketch_module, "reconstruct_points", expanded)
-    with pytest.raises(CorruptSketch):
-        decode(bad)
+    for b in bad:
+        with pytest.raises(CorruptSketch):
+            decode(b)
 
 
 def test_decode_medium_m_matches_reference_with_alignments():
