@@ -1,9 +1,12 @@
 """Edit-distance dynamic-programming cores.
 
 Everything that walks a Levenshtein lattice lives here: banded (Ukkonen-style)
-computations, semi-global sweeps for minimizing over text substrings/prefixes,
-the self-alignment table, and the canonical backtrace.  One offset-major row
-step over many band rows (_band_row) serves three kernels:
+computations, the cyclic DP against a periodic extension q^inf
+(periodic_row_minima: one column per end position mod |q|, giving the
+distance of every prefix and the witness fragment in one pass), the
+self-alignment table, and the canonical backtrace.  The full-width numpy row
+sweep (_row_sweep) serves only prefix_cost_row, on the validation path.  One
+offset-major row step over many band rows (_band_row) serves three kernels:
 
 - batch_verify_starts (verification of candidate starts) drops a start once
   its band row minimum exceeds k;
@@ -28,7 +31,7 @@ bit-for-bit on alignments and edit information.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,7 +173,7 @@ def end_costs_for_start(
 
 
 # ---------------------------------------------------------------------------
-# numpy row sweeps (semi-global distances on longer strings)
+# full-width numpy row sweep (prefix_cost_row, for the validation path)
 
 
 def _np_codes(x: Sequence[int]) -> np.ndarray:
@@ -192,13 +195,6 @@ def _row_sweep(x: np.ndarray, u: np.ndarray, first_row: np.ndarray) -> np.ndarra
     return prev
 
 
-def semiglobal_end_row(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
-    """Row D with D[j] = min_i edit_distance(x, u[i:j])  (free start in u)."""
-    xa, ua = _np_codes(x), _np_codes(u)
-    first = np.zeros(len(ua) + 1, dtype=np.int32)
-    return _row_sweep(xa, ua, first)
-
-
 def prefix_cost_row(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
     """Row D with D[j] = edit_distance(x, u[0:j])."""
     xa, ua = _np_codes(x), _np_codes(u)
@@ -206,20 +202,65 @@ def prefix_cost_row(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
     return _row_sweep(xa, ua, first)
 
 
-def min_over_substrings(x: Sequence[int], u: Sequence[int]) -> Tuple[int, int, int]:
-    """(cost, i, j) minimizing edit_distance(x, u[i:j]) over all fragments of u."""
-    if len(x) == 0:
-        return 0, 0, 0
-    if len(u) == 0:
-        return len(x), 0, 0
-    row = semiglobal_end_row(x, u)
-    j = int(np.argmin(row))
-    cost = int(row[j])
-    # recover the start by sweeping the reversed prefix u[0:j]
-    rrow = semiglobal_end_row(list(x)[::-1], list(u[:j])[::-1])
-    length = int(np.argmin(rrow))
-    assert int(rrow[length]) == cost
-    return cost, j - length, j
+# ---------------------------------------------------------------------------
+# cyclic DP against a periodic extension
+
+
+def periodic_row_minima(x: Sequence[int], q: Sequence[int], prefix: bool) -> Iterator[Tuple[int, int, int]]:
+    """Yield (cost, start, end) for x[:i], i = 0..len(x), against u = q^inf.
+
+    cost is the least ED(x[:i], u[start:end]) over fragments of u (over
+    prefixes, start = 0, when `prefix`), end the first optimal end in u, and
+    start the largest start of an optimal fragment ending there.  Rows are
+    computed only as far as they are consumed.
+
+    u's lattice repeats with the end position, so one row holds one column
+    per residue c of the end mod |q| (Amir, Eisenberg and Levy, "Approximate
+    periodicity", ISAAC 2010): the aligned step into c comes from column
+    c - 1 and consumes q[c - 1], a deletion stays in c, and an insertion
+    moves from c - 1 to c within the row.  Insertions once round the cycle
+    cost |q| and return to their column, so the insertion closure goes round
+    once, from the row's cheapest column, which nothing can improve.  Each
+    cell keeps the lexicographic minimum of (cost, end, -start) over its
+    paths; a step adds the same amounts to every path it extends, so the
+    minimum passes through the steps exactly.  Fragments start only below
+    |q|: a later start has a shift by -|q| of equal cost and smaller end.
+    The triple is packed into one integer, ((cost * span) + end) * |q| +
+    |q| - 1 - start, so a comparison is one integer comparison.  A row has
+    only |q| cells, where numpy's per-call cost would dominate, hence pure
+    Python: O(len(x) * |q|) time, O(|q|) memory.
+    """
+    ql = len(q)
+    # a cell's cost is at most i + |q| (the path of aligned steps), so its end
+    # is below 2i + 2|q|, and a step adds one more
+    span = 2 * (len(x) + ql) + 2
+    one = span * ql  # one edit
+    ins = one + ql  # one edit, one more end
+
+    def unpack(key: int) -> Tuple[int, int, int]:
+        cost, rest = divmod(key, one)
+        end, back = divmod(rest, ql)
+        return cost, ql - 1 - back, end
+
+    if prefix:  # column c: u[:c] inserted
+        row = [(c * span + c) * ql + ql - 1 for c in range(ql)]
+    else:  # column c: the empty fragment at c
+        row = [c * ql + ql - 1 - c for c in range(ql)]
+    yield unpack(min(row))
+    aligned: Dict[int, List[int]] = {}  # per code of x: the aligned step into each column
+    for xi in x:
+        inc = aligned.get(xi)
+        if inc is None:
+            inc = aligned[xi] = [ql + one * (xi != q[c - 1]) for c in range(ql)]
+        row = [min(a + d, b + one) for a, d, b in zip(row[-1:] + row[:-1], inc, row)]
+        best = min(row)
+        c = row.index(best)
+        for _ in range(ql - 1):
+            v = row[c] + ins
+            c = c + 1 if c + 1 < ql else 0
+            if v < row[c]:
+                row[c] = v
+        yield unpack(best)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ A pattern of length m with threshold k always admits one of three shapes:
 each close to a short primitive period, or one global approximate period.
 The decomposition drives which candidate-generation strategy the matcher
 uses.  All subroutines here are exact: the sign test against the edit budget
-and the prefix search are done with full periodic-distance computations
-rather than sampling.
+and the prefix search use exact periodic distances rather than sampling.  A
+region search reads the distance of every prefix it probes from one cyclic
+DP over the pattern (one column per end position mod the period), stepped
+only as far as its probes reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from ._dp import periodic_row_minima
 from .distance import ed_periodic
 from .graph import InternalInvariantBroken
 from .strings import is_primitive, per
@@ -57,8 +60,21 @@ def delta_sign(p: Str, j: int, j2: int, q: Str, k: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def _delta(p: Str, j: int, length: int, q: Str, k: int) -> int:
-    return ed_periodic(p[j : j + length], q, "substring") - edit_budget(length, k, m=len(p))
+def _deficits(s: Str, q: Str, k: int, m: int) -> Callable[[int], int]:
+    """deficit(ell) = ed_periodic(s[:ell], q) - edit_budget(ell, k, m).
+
+    Every prefix distance comes from one cyclic DP over s, whose rows are
+    stepped only as far as the probes have reached.
+    """
+    rows = periodic_row_minima(s.codes, q.codes, False)
+    costs: List[int] = []
+
+    def deficit(ell: int) -> int:
+        while len(costs) <= ell:
+            costs.append(next(rows)[0])
+        return costs[ell] - edit_budget(ell, k, m)
+
+    return deficit
 
 
 def find_region_prefix(p: Str, j: int, q: Str, k: int) -> Optional[int]:
@@ -74,6 +90,7 @@ def find_region_prefix(p: Str, j: int, q: Str, k: int) -> Optional[int]:
     limit = m - j
     if limit <= L:
         return None
+    deficit = _deficits(p[j:], q, k, m)
     probes: List[int] = []
     ell = 1
     while ell < limit:
@@ -85,7 +102,7 @@ def find_region_prefix(p: Str, j: int, q: Str, k: int) -> Optional[int]:
     for ell in probes:
         if ell <= L:
             continue
-        d = _delta(p, j, ell, q, k)
+        d = deficit(ell)
         if d == 0:
             return j + ell
         if d > 0:
@@ -96,7 +113,7 @@ def find_region_prefix(p: Str, j: int, q: Str, k: int) -> Optional[int]:
         return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        d = _delta(p, j, mid, q, k) if mid > L else -1
+        d = deficit(mid) if mid > L else -1
         if d == 0:
             return j + mid
         if d > 0:
@@ -113,10 +130,7 @@ def find_region_suffix(p: Str, j: int, q: Str, k: int) -> Optional[int]:
     the forward search certified the deficit at length m - j is <= 0.
     """
     m = len(p)
-    rev, qr = p.reverse(), q.reverse()
-
-    def deficit(length: int) -> int:
-        return ed_periodic(rev[:length], qr, "substring") - edit_budget(length, k, m)
+    deficit = _deficits(p.reverse(), q.reverse(), k, m)
 
     base = m - j
     d = deficit(base)

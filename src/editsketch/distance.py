@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-import numpy as np
-
 from . import _dp
 from .alignment import Alignment, CostedOccurrence
 from .symbols import Str, sentinel_code
@@ -95,49 +93,30 @@ def prefix_min_edit(p: Str, t: Str, k: int) -> Optional[Tuple[int, int]]:
     return d, len(t) - y
 
 
-def unroll(q: Str, length: int) -> Tuple[int, ...]:
-    """The prefix of q^inf of the given length (empty when q is empty)."""
-    reps = -(-length // len(q)) if len(q) else 0
-    return (q.codes * reps)[:length]
-
-
 def ed_periodic(s: Str, q: Str, mode: str = "substring") -> int:
     """Exact distance from s to the periodic extension of q.
 
     mode 'substring': min over all fragments of q^inf; mode 'prefix': min
-    over prefixes of q^inf.  Computed against an explicit unrolling of
-    length 2(|s| + |q|): an optimal fragment starts before |q| (shift
-    invariance) and is at most |s| plus the optimal cost <= 2|s| long, so
-    the unrolling always contains one.
+    over prefixes of q^inf.  Computed by the cyclic DP of
+    _dp.periodic_row_minima, one column per end position mod |q|, in
+    O(|s| |q|) time.
     """
-    if len(q) == 0:
-        raise ValueError("empty period")
-    if len(s) == 0:
-        return 0
-    u = unroll(q, 2 * (len(s) + len(q)))
-    if mode == "substring":
-        row = _dp.semiglobal_end_row(s.codes, u)
-        return int(row.min())
-    if mode == "prefix":
-        row = _dp.prefix_cost_row(s.codes, u)
-        return int(row.min())
-    raise ValueError(f"unknown mode {mode!r}")
+    return ed_periodic_witness(s, q, mode)[0]
 
 
 def ed_periodic_witness(s: Str, q: Str, mode: str = "substring") -> Tuple[int, int, int]:
-    """ed_periodic together with a witness fragment [i, j) of q^inf."""
+    """ed_periodic together with a witness fragment [i, j) of q^inf.
+
+    j is the first optimal end in q^inf and i the largest start of an
+    optimal fragment ending at j (0 in mode 'prefix').
+    """
     if len(q) == 0:
         raise ValueError("empty period")
-    if len(s) == 0:
-        return 0, 0, 0
-    u = unroll(q, 2 * (len(s) + len(q)))
-    if mode == "substring":
-        return _dp.min_over_substrings(s.codes, u)
-    if mode == "prefix":
-        row = _dp.prefix_cost_row(s.codes, u)
-        j = int(np.argmin(row))
-        return int(row[j]), 0, j
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("substring", "prefix"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for row in _dp.periodic_row_minima(s.codes, q.codes, mode == "prefix"):
+        pass
+    return row
 
 
 def ed_boundary_anchored(s: Str, q: Str) -> Tuple[int, int]:

@@ -200,9 +200,14 @@ class Sketch:
         raw_mode = bool(flags & 2)
         if raw_mode != (4 * k > m):
             raise CorruptSketch(f"k={k}, m={m}: a pattern is embedded iff 4k > m")
+        # encode writes one window per block, in order, and each window
+        # starts in its own block: at the block start (RAW) or a pair start
+        block = split_blocks(n, m, k)[0]
+        if wc != len(range(0, max(n, 1), block)):
+            raise CorruptSketch(f"{wc} windows for a text of {n} in blocks of {block}")
         pattern = tuple(r.varint() for _ in range(m)) if raw_mode else None
         windows = []
-        for _ in range(wc):
+        for w in range(wc):
             kind = r.u8()
             if raw_mode != (kind == RAW):
                 raise CorruptSketch("windows are RAW iff a pattern is embedded")
@@ -210,8 +215,8 @@ class Sketch:
                 windows.append(WindowRecord(EMPTY))
                 continue
             lo = r.varint()
-            if lo >= max(n, 1):
-                raise CorruptSketch("window starts beyond the text")
+            if not w * block <= lo < min((w + 1) * block, max(n, 1)):
+                raise CorruptSketch(f"window {w} starts outside its block")
             if kind == RAW:
                 ln = r.varint()
                 syms = tuple(r.varint() for _ in range(ln))

@@ -196,11 +196,14 @@ def test_row_sweep_rows_and_minima_match_brute_tables(rng):
         for table, first in ((prefix, np.arange(len(u) + 1, dtype=np.int32)), (free, np.zeros(len(u) + 1, np.int32))):
             assert _dp._row_sweep(xa, ua, first).tolist() == table[-1]
         assert _dp.prefix_cost_row(x, u).tolist() == prefix[-1]
-        assert _dp.semiglobal_end_row(x, u).tolist() == free[-1]
         if u:  # row minima against q^inf, q = u: row i's is the least r that reaches row i
             periodic = brute_table(x, (u * (len(x) + 2))[: len(x) + 2 * len(u)], False)
             reach = [_dp.periodic_extents([x], u, r)[0][0] for r in range(len(x) + 1)]
             assert [sum(a < i for a in reach) for i in range(len(x) + 1)] == [min(row) for row in periodic]
+            # free start: the cyclic DP's row minima against a long enough prefix of q^inf
+            free_periodic = brute_table(x, (u * (len(x) + 2))[: 2 * (len(x) + len(u))], True)
+            got = [c for c, _, _ in _dp.periodic_row_minima(x, u, False)]
+            assert got == [min(row) for row in free_periodic]
 
 
 def _near_periodic(rng, q, n, edits, sigma):
@@ -216,6 +219,50 @@ def _near_periodic(rng, q, n, edits, sigma):
         else:
             x.insert(pos, rng.randrange(sigma))
     return tuple(x)
+
+
+def _fragment_keys(x, u, starts):
+    """Per row i of x and per start in `starts`: (cost, end, -start) of the
+    cheapest fragment u[start:end] with the first such end, from one
+    textbook DP table of x per start."""
+    keys = [[] for _ in range(len(x) + 1)]
+    for a in starts:
+        w = u[a:]
+        row = list(range(len(w) + 1))
+        for i in range(len(x) + 1):
+            if i:
+                cur = [i]
+                for j in range(1, len(w) + 1):
+                    cur.append(min(row[j] + 1, cur[-1] + 1, row[j - 1] + (x[i - 1] != w[j - 1])))
+                row = cur
+            c = min(row)
+            keys[i].append((c, a + row.index(c), -a))
+    return keys
+
+
+def test_periodic_row_minima_pin_the_witness_tie_break(rng):
+    """Every prefix's cost and witness against brute force over an explicit
+    unrolling of q^inf: the least cost, the smallest optimal end, and the
+    largest start of an optimal fragment ending there (0 in mode 'prefix').
+    The unrolling holds the first optimal end of every prefix x[:i], which
+    is at most |q| - 1 + 2i."""
+    tied = 0
+    for case in range(150):
+        sigma = rng.choice((2, 3))
+        q = random_codes(rng, rng.randint(1, 6), sigma)
+        n = rng.randint(0, 40)
+        x = random_codes(rng, n, sigma) if case % 2 else _near_periodic(rng, q, n, rng.randint(0, 4), sigma)
+        u = (q * (2 * n // len(q) + 3))[: 2 * (n + len(q))]
+        for mode in ("substring", "prefix"):
+            keys = _fragment_keys(x, u, range(len(u) + 1) if mode == "substring" else (0,))
+            want = [min(row) for row in keys]
+            got = list(_dp.periodic_row_minima(x, q, mode == "prefix"))
+            assert got == [(c, -neg, end) for c, end, neg in want]
+            assert ed_periodic_witness(Str(x), Str(q), mode) == got[-1]
+            assert ed_periodic(Str(x), Str(q), mode) == got[-1][0]
+            # more than one optimal fragment ends at the witness end
+            tied += sum(key[:2] == want[-1][:2] for key in keys[-1]) > 1
+    assert tied >= 20
 
 
 def test_periodic_extents_match_brute_tables(rng):

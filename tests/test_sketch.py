@@ -268,6 +268,9 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
     assert v.kind == STRUCTURED and v.lo + v.crop_len == sk.n
     span = split_blocks(sk.n, sk.m, sk.k)[1]
     raw = encode(S("abc"), S("xxabcxy"), 2, chars=True)
+    a0, a1 = [i for i, x in enumerate(sk.windows) if x.kind != EMPTY][:2]
+    swapped = list(sk.windows)
+    swapped[a0], swapped[a1] = swapped[a1], swapped[a0]
     bad = [
         with_window(replace(w, lo=sk.n)),  # window starts past the text
         with_window(replace(w, aligns=(padded,) + w.aligns[1:])),  # more than k edits
@@ -281,6 +284,8 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
         with_window(replace(w, aligns=(replace(a, rel_end=w.crop_len + 1),) + w.aligns[1:])),  # ends past the crop
         with_window(replace(w, aligns=(replace(a, rel_start=a.rel_end + 1),) + w.aligns[1:])),  # starts after its end
         with_window(WindowRecord(SINGLE, lo=sk.n - sk.m + 1, aligns=(AlignRec(0, sk.m, True, ()),))),  # past the text
+        replace(sk, windows=swapped).to_bytes(),  # two windows outside their blocks
+        replace(sk, windows=sk.windows + [WindowRecord(EMPTY)]).to_bytes(),  # one window too many
     ]
     for blob in bad:
         with pytest.raises(CorruptSketch):

@@ -23,10 +23,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
-
-TRACED = ("matcher.verify_s", "matcher.candidates_s", "matcher.find_occurrences_self_s",
-          "matcher.candidate_starts", "matcher.true_starts")
+from typing import Dict, List, Sequence
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> Dict:
@@ -39,10 +36,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     return {"revision": stamp["revision"], "result": json.loads(lines[-1])}
 
 
-def traced(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
-    """The TRACED layer metrics of one --trace 1 run."""
+def traced(checkout: Path, workload: str, seed: int, seconds: float, names: Sequence[str]) -> Dict[str, float]:
+    """The named per-layer metrics of one --trace 1 run."""
     got = run(checkout, workload, seed, seconds, trace=1)["result"]["metrics"]
-    return {m: got[m]["value"] for m in TRACED}
+    return {m: got[m]["value"] for m in names}
 
 
 def summary(values: List[float]) -> Dict[str, float]:
@@ -100,7 +97,8 @@ def main(argv=None) -> int:
         row["change_wins"][m] = sum(
             better(c["metrics"][m], p["metrics"][m]) for p, c in zip(runs["parent"], runs["change"]))
     row["traced_seed"] = seeds[0]
-    row["traced"] = {side: traced(sides[side], args.workload, seeds[0], seconds) for side in sides}
+    layers = [d["name"] for d in bench["per_layer"]]
+    row["traced"] = {side: traced(sides[side], args.workload, seeds[0], seconds, layers) for side in sides}
     args.out.write_text(json.dumps(row, indent=1, sort_keys=True) + "\n")
     return 0
 
