@@ -276,13 +276,18 @@ def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
     beyond the text end only grow and never disturb in-range cells (the DP
     reads only leftward and upward).  Band column b of row i holds
     D[i][i + b - k]; row0 is row 0, with cells at j < 0 set to inf.
+    t may be a text's `bytes` rendering, which numpy reads without a
+    conversion per code.
     """
     n, m = len(t), len(x)
     win = m + 2 * k  # per-start character window: offsets i-1+d, d in [-k, k]
-    max_code = max(max(t, default=0), max(x))
+    if isinstance(t, bytes):  # every code < 256: only x can need int32
+        max_code, ta = max(x), np.frombuffer(t, dtype=np.uint8)
+    else:
+        max_code, ta = max(max(t, default=0), max(x)), t
     cdtype = np.int16 if max_code < 30000 else np.int32
     ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
-    ta_pad[k : k + n] = np.asarray(t, dtype=cdtype)
+    ta_pad[k : k + n] = np.asarray(ta, dtype=cdtype)
     windows = np.lib.stride_tricks.sliding_window_view(ta_pad, win)
     vdtype = np.int16 if 2 * (m + k) + 100 < 30000 else np.int32
     inf = (m + k) + 50

@@ -75,7 +75,7 @@ def cmd_match(args) -> int:
         raise InputError("k must be non-negative")
     matchfn = match_banded if args.reference else find_occurrences
     occ = sorted(matchfn(p, t, args.k), key=lambda o: (o.start, o.end))
-    aligned = canonical_alignments(p.codes, t.codes, [(o.start, o.end) for o in occ], args.k)
+    aligned = canonical_alignments(p.codes, t.as_bytes() or t.codes, [(o.start, o.end) for o in occ], args.k)
     results = [
         _occurrence_json(o.start, o.end, o.cost, records) for o, (_, records) in zip(occ, aligned)
     ]

@@ -119,7 +119,8 @@ def lz_bounded_prefix(
     forward: the extent e maximizes |LZ(x[start:start+e])| <= z;
     reversed: scans leftward, factorizing x[start-e:start] reversed.
     The greedy parse of a prefix is the full parse clipped at the prefix end,
-    so one capped parse determines the answer.
+    so one capped parse determines the answer.  `graph.cover_recursive` runs
+    one per boundary search, in both directions.
     """
     if z < 1:
         raise ValueError("phrase budget must be >= 1")

@@ -19,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ._dp import prefix_cost_row
 from .alignment import Alignment, Point, Record, edit_info
-from .compress import lz_size_leq, selfed_leq
+from .compress import lz_bounded_prefix, selfed_leq
+from .compress import lz_size_leq  # noqa: F401  (perfbench's tracer wraps graph.lz_size_leq)
 from .distance import edit_distance_bounded
 from .symbols import Str, mask_code
 
@@ -574,6 +575,31 @@ def cover_minimal(wf: WeightFunction, idx: BlackIndexing, t: Str, k: int) -> Per
     return cover
 
 
+def _reach_forward(t: Str, taus: Sequence[int], start: int, lo: int, hi: int, z: int) -> int:
+    """Largest c in [lo, hi] with |LZ(t[start : taus[c] + 1])| <= z, else lo.
+
+    The greedy parse of a prefix is the full parse clipped at that prefix, so
+    the fragment fits exactly when its length is at most the extent of one
+    z-capped parse from `start`.  `taus` is strictly increasing.
+    """
+    if lo >= hi:
+        return lo
+    e, _ = lz_bounded_prefix(t[start : taus[hi] + 1], 0, z)
+    return bisect.bisect_left(taus, start + e, lo + 1, hi + 1) - 1  # lo itself is never probed
+
+
+def _reach_reverse(t: Str, taus: Sequence[int], end: int, lo: int, hi: int, z: int) -> int:
+    """Smallest c in [lo, hi] with |LZ(reverse(t[taus[c] : end]))| <= z, else hi.
+
+    One z-capped parse leftward from `end`, as in `_reach_forward`.
+    """
+    if lo >= hi:
+        return hi
+    x = t[taus[lo] : end]
+    e, _ = lz_bounded_prefix(x, len(x), z, "reversed")
+    return bisect.bisect_left(taus, end - e, lo, hi)  # hi itself is never probed
+
+
 def cover_recursive(
     wf: WeightFunction, idx: BlackIndexing, t: Str, k: int
 ) -> Tuple[PeriodCover, int]:
@@ -582,56 +608,24 @@ def cover_recursive(
     Returns the cover and the recursion depth reached.  Boundary pieces keep
     factorization size at most 12w + 22k; each recursion level on [i, j]
     grows greedily from the midpoint under budget 12 * (local weight sum).
+
+    Every boundary keeps one end of its fragment fixed, and the fragment's
+    factorization size only grows as the other end moves away.  So each search
+    is one capped greedy parse from the fixed end followed by a bisection over
+    tau(c, 0): the parse of a prefix is the full parse clipped there, which
+    makes "fits the budget" the same as "no longer than the parse's extent".
     """
     bc, c_last = idx.bc, idx.c_last
     budget = 12 * wf.total + 22 * k
+    # tau(c, 0) = t_sub[c], strictly increasing: black_indexing lists t_sub
+    # in ascending text order
+    taus = idx.t_sub
 
-    def frag(a: int, b: int) -> Str:
-        return _closed_fragment(t, idx, a, b)
-
-    def lz_ok_fwd(a: int, b: int, z: int) -> bool:
-        return lz_size_leq(frag(a, b), z) is not None
-
-    def lz_ok_rev(a: int, b: int, z: int) -> bool:
-        return lz_size_leq(frag(a, b).reverse(), z) is not None
-
-    # largest c with |LZ(T[tau_0^0 .. tau_0^c])| within budget: monotone in c
-    lo, hi = 0, bc - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if lz_ok_fwd(0, mid, budget):
-            lo = mid
-        else:
-            hi = mid - 1
-    c_pref = lo
-
-    lo, hi = 0, bc - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lz_ok_rev(mid, bc - 1, budget):
-            hi = mid
-        else:
-            lo = mid + 1
-    c_suff = lo
-
-    lo, hi = 0, c_last
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lz_ok_rev(mid, c_last, budget):
-            hi = mid
-        else:
-            lo = mid + 1
-    c_lsuff = lo
-
+    c_pref = _reach_forward(t, taus, taus[0], 0, bc - 1, budget)
+    c_suff = _reach_reverse(t, taus, taus[bc - 1] + 1, 0, bc - 1, budget)
+    c_lsuff = _reach_reverse(t, taus, taus[c_last] + 1, 0, c_last, budget)
     if c_last + 1 <= bc - 1:
-        lo, hi = c_last + 1, bc - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if lz_ok_fwd(c_last + 1, mid, budget):
-                lo = mid
-            else:
-                hi = mid - 1
-        c_lpref = lo
+        c_lpref = _reach_forward(t, taus, taus[c_last + 1], c_last + 1, bc - 1, budget)
     else:
         c_lpref = c_last  # upper boundary family is empty
 
@@ -653,24 +647,9 @@ def cover_recursive(
             return
         h = (i + j) // 2
         z = 12 * wsum
-        lo, hi = i, h
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lz_ok_rev(mid, h, z):
-                hi = mid
-            else:
-                lo = mid + 1
-        i2 = lo
+        i2 = _reach_reverse(t, taus, taus[h] + 1, i, h, z)
         # largest j' in [h, j] with the half-open fragment (tau^h .. tau^j'] in budget
-        lo, hi = h, j
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            piece = t[idx.tau(h, 0) + 1 : idx.tau(mid, 0) + 1]
-            if lz_size_leq(piece, z) is not None:
-                lo = mid
-            else:
-                hi = mid - 1
-        j2 = lo
+        j2 = _reach_forward(t, taus, taus[h] + 1, h, j, z)
         if i2 <= j2:
             intervals.append((i2, j2))
         crec(i, h, depth + 1)

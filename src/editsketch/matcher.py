@@ -73,7 +73,7 @@ def _verify_starts(p: Str, t: Str, k: int, starts) -> Set[CostedOccurrence]:
     starts = [s for s in starts if 0 <= s <= lim]
     out: Set[CostedOccurrence] = set()
     if len(starts) > 48 and len(p) > 32:
-        for s0, e, c in _dp.batch_verify_starts(p.codes, t.codes, starts, k):
+        for s0, e, c in _dp.batch_verify_starts(p.codes, t.as_bytes() or t.codes, starts, k):
             out.add(CostedOccurrence(s0, e, c))
         return out
     for s0 in starts:

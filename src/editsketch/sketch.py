@@ -49,7 +49,7 @@ from .graph import (
     build_graph,
 )
 from .matcher import find_occurrences, match_banded
-from .symbols import Str, mask_code
+from .symbols import Str, from_bytes, mask_code
 from .window import structure_from_pairs
 
 MAGIC = b"EPMS"
@@ -301,6 +301,11 @@ def _reduce_alphabet(p: Str, t: Str) -> Tuple[Str, Str, int]:
     pal = sorted(set(p.codes))
     remap = {c: i for i, c in enumerate(pal)}
     other = len(pal)
+    pb, tb = p.as_bytes(), t.as_bytes()
+    if pb is not None and tb is not None:
+        # other <= 255 whenever some byte value is missing from the pattern
+        table = bytes(remap.get(c, other) for c in range(256))
+        return from_bytes(pb.translate(table)), from_bytes(tb.translate(table)), other + 1
     p2 = Str(remap[c] for c in p.codes)
     t2 = Str(remap.get(c, other) for c in t.codes)
     return p2, t2, other + 1
@@ -466,7 +471,8 @@ def _add_pairs(out, lo, k, p: Str, t_crop: Str, occ) -> None:
     """Attach canonical alignments to the pairs no other window decoded,
     from one radius-k band per start."""
     todo = [(s0, e0, cost) for s0, e0, cost in occ if (lo + s0, lo + e0) not in out]
-    aligned = canonical_alignments(p.codes, t_crop.codes, [(s0, e0) for s0, e0, _ in todo], k, lo)
+    pairs = [(s0, e0) for s0, e0, _ in todo]
+    aligned = canonical_alignments(p.codes, t_crop.as_bytes() or t_crop.codes, pairs, k, lo)
     for (s0, e0, cost), (pts, recs) in zip(todo, aligned):
         out[(lo + s0, lo + e0)] = DecodedOccurrence(lo + s0, lo + e0, cost, pts, recs)
 

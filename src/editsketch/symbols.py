@@ -69,7 +69,10 @@ class Str:
         """``bytes`` view when every code is < 256, else None."""
         b = object.__getattribute__(self, "_bytes")
         if b is None:
-            b = bytes(self.codes) if all(c < 256 for c in self.codes) else False
+            try:
+                b = bytes(self.codes)
+            except ValueError:  # a code >= 256
+                b = False
             object.__setattr__(self, "_bytes", b)
         return b if b is not False else None
 
@@ -110,7 +113,11 @@ def S(text: str) -> Str:
 
 
 def from_bytes(data: bytes) -> Str:
-    return Str(data)
+    """A Str of the byte values, with `data` already cached as its rendering."""
+    data = bytes(data)
+    s = Str(data)
+    object.__setattr__(s, "_bytes", data)
+    return s
 
 
 def from_tokens(text: str) -> Str:

@@ -156,16 +156,16 @@ def test_lz_bounded_prefix_contract(rng):
         e, fact = lz_bounded_prefix(x, 0, z, "forward")
         assert len(fact) <= z
         assert fact.expand() == x[:e]
-        assert len(lz77(x[:e])) <= z
-        if e < len(x):
-            assert len(lz77(x[: e + 1])) > z
+        # what graph.cover_recursive's searches rely on: a prefix fits the
+        # budget exactly when it is no longer than the capped parse's extent
+        for L in range(len(x) + 1):
+            assert (len(lz77(x[:L])) <= z) == (L <= e)
         start = rng.randint(0, len(x))
         e2, fact2 = lz_bounded_prefix(x, start, z, "reversed")
         rev = Str(x.codes[:start][::-1])
         assert fact2.expand() == rev[:e2]
-        assert len(lz77(rev[:e2])) <= z
-        if e2 < start:
-            assert len(lz77(rev[: e2 + 1])) > z
+        for L in range(start + 1):
+            assert (len(lz77(rev[:L])) <= z) == (L <= e2)
 
 
 def test_lz_bounded_prefix_examples():

@@ -307,6 +307,25 @@ def test_canonical_alignments_match_optimal_alignment(rng):
     assert near_end > 0  # bands that run past the text end were exercised
 
 
+def test_bytes_text_matches_code_tuple_in_band_kernels(rng):
+    """A text's bytes rendering gives the same band frame, verified triples and
+    canonical alignments as its code tuple, also for pattern codes the text
+    lacks (30000 widens the frame to int32) and for an empty text."""
+    for trial in range(120):
+        k = rng.randint(0, 3)
+        p = list(random_codes(rng, rng.randint(1, 12), 3))
+        if trial % 3 == 0:
+            p[rng.randrange(len(p))] = rng.choice((7, 300, 30000))
+        t = random_codes(rng, rng.randint(0, 40) if trial % 10 else 0, 3)
+        for a, b in zip(_dp._band_frame(p, bytes(t), k), _dp._band_frame(p, t, k)):
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+        starts = range(len(t) + 1)
+        triples = _dp.batch_verify_starts(p, t, starts, k)
+        assert _dp.batch_verify_starts(p, bytes(t), starts, k) == triples
+        pairs = [(s0, e0) for s0, e0, _ in triples]
+        assert _dp.canonical_alignments(p, bytes(t), pairs, k) == _dp.canonical_alignments(p, t, pairs, k)
+
+
 def test_batch_verify_starts_matches_end_costs_per_start(rng):
     def check(p, t, starts, k):
         want = sorted(

@@ -18,7 +18,10 @@ from editsketch.graph import (
     mask,
     weight_function,
     weight_function_covers,
+    _reach_forward,
+    _reach_reverse,
 )
+from editsketch.compress import lz_size_leq
 from editsketch.symbols import S, Str
 from editsketch.window import structure_from_pairs
 
@@ -256,6 +259,31 @@ def test_cover_recursive_zero_weight_boundary_only():
     assert is_period_cover(cover, wf, idx, t, 1)
     # zero weight: the recursion contributes nothing beyond boundary pieces
     assert len(cover.intervals) <= 3
+
+
+def test_cover_searches_match_linear_lz_scan(rng):
+    """One capped parse plus a bisection equals probing every c with
+    lz_size_leq, fallbacks included."""
+    fallbacks = {"forward": 0, "reverse": 0}
+    for _ in range(400):
+        t = Str(random_codes(rng, rng.randint(2, 60), rng.choice((2, 3, 300))))
+        taus = sorted(rng.sample(range(len(t)), rng.randint(1, min(len(t), 12))))
+        lo = rng.randrange(len(taus))
+        hi = rng.randint(lo, len(taus) - 1)
+        z = rng.choice((1, 1, 2, 3, 5, 12))
+
+        # forward: the fixed start is at or before tau(lo), or right after it
+        # as in cover_recursive's half-open piece (tau^h .. tau^j']
+        start = rng.choice((rng.randint(0, taus[lo]), taus[lo] + 1))
+        fits = [c for c in range(lo, hi + 1) if lz_size_leq(t[start : taus[c] + 1], z) is not None]
+        fallbacks["forward"] += not fits
+        assert _reach_forward(t, taus, start, lo, hi, z) == (fits[-1] if fits else lo)
+
+        end = rng.randint(taus[hi] + 1, len(t))
+        fits = [c for c in range(lo, hi + 1) if lz_size_leq(t[taus[c] : end].reverse(), z) is not None]
+        fallbacks["reverse"] += not fits
+        assert _reach_reverse(t, taus, end, lo, hi, z) == (fits[0] if fits else hi)
+    assert min(fallbacks.values()) >= 10  # budgets that no c meets were exercised
 
 
 def test_mask_full_cover_keeps_strings():

@@ -115,6 +115,27 @@ def test_alphabet_reduction_mode(rng):
         assert sk.alphabet <= len(set(p.codes)) + 1
 
 
+def test_reduce_alphabet_byte_path_matches_tuple_path(rng):
+    """bytes.translate gives the codes and alphabet size of the per-code
+    mapping, with byte caches that match the codes."""
+    def reference(p, t):
+        remap = {c: i for i, c in enumerate(sorted(set(p)))}
+        other = len(remap)
+        return tuple(remap[c] for c in p), tuple(remap.get(c, other) for c in t), other + 1
+
+    cases = [((1, 2), ()), ((7,), (1, 2, 3)), ((300, 2), (2, 300, 5)), ((2,), (2, 999)),
+             (tuple(range(256)), (0, 255, 7))]
+    for _ in range(150):
+        p = random_codes(rng, rng.randint(1, 12), rng.choice((2, 5, 256)))
+        t = random_codes(rng, rng.randint(0, 40), rng.choice((3, 6, 256, 400)))
+        cases.append((p, t))
+    for p, t in cases:
+        p2, t2, alphabet = sketch_module._reduce_alphabet(Str(p), Str(t))
+        assert (p2.codes, t2.codes, alphabet) == reference(p, t)
+        for s in (p2, t2):
+            assert s.as_bytes() == (bytes(s.codes) if all(c < 256 for c in s.codes) else None)
+
+
 def test_empty_window_overhead_is_tag_only():
     p = Str([9] * 6)
     t = Str([1] * 50)

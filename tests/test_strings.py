@@ -11,9 +11,9 @@ from editsketch.strings import (
     occ_gcd_period,
     per,
 )
-from editsketch.symbols import S, Str
+from editsketch.symbols import S, Str, from_bytes
 
-from conftest import binary_strings, brute_occurrences, brute_per
+from conftest import binary_strings, brute_occurrences, brute_per, random_codes
 
 
 def test_per_examples():
@@ -53,6 +53,21 @@ def test_is_primitive_against_power_enumeration(rng):
             for d in range(1, len(s))
         )
         assert is_primitive(Str(s)) == brute
+
+
+def test_byte_rendering_matches_the_codes(rng):
+    """as_bytes is bytes(codes) when every code is < 256, else None; from_bytes
+    caches its input as that rendering."""
+    cases = [(), (0,), (255,), (256,), (3, 300, 1), (255, 256), tuple(range(256))]
+    cases += [random_codes(rng, rng.randint(0, 40), rng.choice((2, 256, 260))) for _ in range(100)]
+    for codes in cases:
+        want = bytes(codes) if all(c < 256 for c in codes) else None
+        assert Str(codes).as_bytes() == want
+        if want is not None:
+            for data in (want, bytearray(want)):
+                s = from_bytes(data)
+                assert s == Str(codes) and type(s.as_bytes()) is bytes and s.as_bytes() == want
+            assert from_bytes(want).as_bytes() is want  # seeded, not rebuilt from the codes
 
 
 def test_exact_occurrences_examples():
