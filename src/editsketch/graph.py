@@ -578,9 +578,8 @@ def cover_minimal(wf: WeightFunction, idx: BlackIndexing, t: Str, k: int) -> Per
 def _reach_forward(t: Str, taus: Sequence[int], start: int, lo: int, hi: int, z: int) -> int:
     """Largest c in [lo, hi] with |LZ(t[start : taus[c] + 1])| <= z, else lo.
 
-    The greedy parse of a prefix is the full parse clipped at that prefix, so
-    the fragment fits exactly when its length is at most the extent of one
-    z-capped parse from `start`.  `taus` is strictly increasing.
+    One z-capped parse from `start`, then a bisection of the strictly
+    increasing `taus` against its extent (see cover_recursive).
     """
     if lo >= hi:
         return lo
@@ -591,7 +590,7 @@ def _reach_forward(t: Str, taus: Sequence[int], start: int, lo: int, hi: int, z:
 def _reach_reverse(t: Str, taus: Sequence[int], end: int, lo: int, hi: int, z: int) -> int:
     """Smallest c in [lo, hi] with |LZ(reverse(t[taus[c] : end]))| <= z, else hi.
 
-    One z-capped parse leftward from `end`, as in `_reach_forward`.
+    One z-capped parse leftward from `end`, as in _reach_forward.
     """
     if lo >= hi:
         return hi
