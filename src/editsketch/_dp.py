@@ -1,19 +1,33 @@
 """Edit-distance dynamic-programming cores.
 
-Everything that walks a Levenshtein lattice lives here: banded (Ukkonen-style)
-computations, the cyclic DP against a periodic extension q^inf
-(periodic_row_minima: one column per end position mod |q|, giving the
-distance of every prefix and the witness fragment in one pass), the
-self-alignment table, and the canonical backtrace.  The full-width numpy row
-sweep (_row_sweep) serves only prefix_cost_row, on the validation path.  One
-offset-major row step over many band rows (_band_row) serves three kernels:
+Everything that walks a Levenshtein lattice lives here, in four kernels:
 
-- batch_verify_starts (verification of candidate starts) drops a start once
-  its band row minimum exceeds k;
-- periodic_extents (extensions of periodic anchors in candidate generation)
-  drops a string once its row minimum exceeds the radius or it ends;
-- canonical_alignments (the decoder's per-start tracebacks) keeps every row,
-  since each of its pairs costs at most k and is traced back from row m.
+- one offset-major row step over many radius-k band rows (_band_row), for
+  every batch of starts or strings:
+  - batch_verify_starts (every verification of candidate starts, on the
+    matcher's direct and masked routes alike) drops a start once its band
+    row minimum exceeds k;
+  - periodic_extents (extensions of periodic anchors in candidate
+    generation) drops a string once its row minimum exceeds the radius or
+    it ends;
+  - canonical_alignments (the decoder's per-start tracebacks) keeps every
+    row, since each of its pairs costs at most k and is traced back from
+    row m;
+- the pure-Python widening band BandRows, one pair or start at a time:
+  align_pair and bounded_pair (one canonical alignment, behind
+  distance.optimal_alignment and edit_distance_bounded), and
+  end_costs_for_start, the per-start reference behind
+  distance.occ_edits_oracle that batch_verify_starts is tested against;
+- the cyclic DP against a periodic extension q^inf (periodic_row_minima:
+  one column per end position mod |q|, giving the distance of every prefix
+  and the witness fragment in one pass);
+- the self-alignment table (_selfed_rows).
+
+BandRows stays beside the numpy band because a single pair is where numpy's
+per-call cost dominates: for one cost-8 pair at m = 512, k = 8,
+canonical_alignments takes 8.5 ms against align_pair's 2.6 ms (2-vCPU
+Xeon, CPython 3.11, numpy 2.4), and encode aligns its pairs one at a time
+(about 85 optimal_alignment calls per scan-breaks benchmark pass).
 
 Dropping is Ukkonen's cutoff ("Finding approximate patterns in strings",
 J. Algorithms 6, 1985), and it is exact: every band cell is reached from a
@@ -173,36 +187,6 @@ def end_costs_for_start(
 
 
 # ---------------------------------------------------------------------------
-# full-width numpy row sweep (prefix_cost_row, for the validation path)
-
-
-def _np_codes(x: Sequence[int]) -> np.ndarray:
-    return np.asarray(x, dtype=np.int32)
-
-
-def _row_sweep(x: np.ndarray, u: np.ndarray, first_row: np.ndarray) -> np.ndarray:
-    """Final DP row for pattern x against u, given the first row."""
-    m = len(u)
-    prev = first_row
-    idx = np.arange(m + 1, dtype=np.int32)
-    for i in range(1, len(x) + 1):
-        sub = (u != x[i - 1]).astype(np.int32)
-        body = np.minimum(prev[:-1] + sub, prev[1:] + 1)
-        b = np.empty(m + 1, dtype=np.int32)
-        b[0] = prev[0] + 1
-        b[1:] = body
-        prev = idx + np.minimum.accumulate(b - idx)
-    return prev
-
-
-def prefix_cost_row(x: Sequence[int], u: Sequence[int]) -> np.ndarray:
-    """Row D with D[j] = edit_distance(x, u[0:j])."""
-    xa, ua = _np_codes(x), _np_codes(u)
-    first = np.arange(len(ua) + 1, dtype=np.int32)
-    return _row_sweep(xa, ua, first)
-
-
-# ---------------------------------------------------------------------------
 # cyclic DP against a periodic extension
 
 
@@ -282,9 +266,9 @@ def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
     n, m = len(t), len(x)
     win = m + 2 * k  # per-start character window: offsets i-1+d, d in [-k, k]
     if isinstance(t, bytes):  # every code < 256: only x can need int32
-        max_code, ta = max(x), np.frombuffer(t, dtype=np.uint8)
+        max_code, ta = max(x, default=0), np.frombuffer(t, dtype=np.uint8)
     else:
-        max_code, ta = max(max(t, default=0), max(x)), t
+        max_code, ta = max(max(t, default=0), max(x, default=0)), t
     cdtype = np.int16 if max_code < 30000 else np.int32
     ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
     ta_pad[k : k + n] = np.asarray(ta, dtype=cdtype)
@@ -603,27 +587,9 @@ def _selfed_rows(x: Sequence[int]):
 
 def selfed_cost(x: Sequence[int], cap: Optional[int] = None) -> Optional[int]:
     """Minimum cost of a self-alignment of x; None if it exceeds `cap`."""
-    n = len(x)
-    if n == 0:
-        return 0
-    if n <= 160 or cap is None:
-        for row in _selfed_rows(x):
-            pass
-        v = row[n]
-    else:
-        xa = _np_codes(x)
-        prev = np.arange(n + 1, dtype=np.int32)
-        idx = np.arange(n + 1, dtype=np.int32)
-        for i in range(1, n + 1):
-            sub = (xa != xa[i - 1]).astype(np.int32)
-            diag = prev[:-1] + sub
-            diag[i - 1] = INF  # (i-1, j-1) with j-1 == i-1
-            body = np.minimum(diag, prev[1:] + 1)
-            b = np.empty(n + 1, dtype=np.int32)
-            b[0] = prev[0] + 1
-            b[1:] = body
-            prev = idx + np.minimum.accumulate(b - idx)
-        v = int(prev[n])
+    for row in _selfed_rows(x):
+        pass
+    v = row[len(x)]
     if cap is not None and v > cap:
         return None
     return v

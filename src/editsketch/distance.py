@@ -3,7 +3,7 @@ anchored (suffix/prefix/periodic) distance variants."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from . import _dp
 from .alignment import Alignment, CostedOccurrence
@@ -40,9 +40,13 @@ def optimal_alignment(p: Str, t: Str, t0: int, t1: int) -> Alignment:
 def occ_edits_oracle(p: Str, t: Str, k: int) -> Set[CostedOccurrence]:
     """Exhaustive oracle: every fragment t[i:j) within distance k of p.
 
-    One banded sweep per start position; each qualifying (start, end) pair is
-    reported with its exact optimal cost.  Alignments are not attached; use
-    optimal_alignment per pair when needed.
+    One pure-Python banded sweep per start position
+    (_dp.end_costs_for_start); each qualifying (start, end) pair is reported
+    with its exact optimal cost.  This is the independent per-start
+    reference that the pipeline's batched verification
+    (_dp.batch_verify_starts, behind matcher.match_banded) is tested
+    against.  Alignments are not attached; use optimal_alignment per pair
+    when needed.
     """
     out: Set[CostedOccurrence] = set()
     n = len(t)
@@ -50,11 +54,6 @@ def occ_edits_oracle(p: Str, t: Str, k: int) -> Set[CostedOccurrence]:
         for e, c in _dp.end_costs_for_start(p.codes, t.codes, t0, k).items():
             out.add(CostedOccurrence(t0, e, c))
     return out
-
-
-def end_costs(p: Str, t: Str, t0: int, k: int) -> Dict[int, int]:
-    """Ends e with edit_distance(p, t[t0:e)) <= k, mapped to exact cost."""
-    return _dp.end_costs_for_start(p.codes, t.codes, t0, k)
 
 
 def suffix_min_edit(p: Str, t: Str, k: int) -> Optional[Tuple[int, int]]:

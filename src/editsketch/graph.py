@@ -17,11 +17,10 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ._dp import prefix_cost_row
 from .alignment import Alignment, Point, Record, edit_info
 from .compress import lz_bounded_prefix, selfed_leq
 from .compress import lz_size_leq  # noqa: F401  (perfbench's tracer wraps graph.lz_size_leq)
-from .distance import edit_distance_bounded
+from .distance import edit_distance_bounded, prefix_min_edit, suffix_min_edit
 from .symbols import Str, mask_code
 
 
@@ -378,9 +377,11 @@ def weight_function(p: Str, t: Str, s: AlignmentSet, g: AlignmentGraph, idx: Bla
 def weight_function_covers(p: Str, t: Str, idx: BlackIndexing, wf: WeightFunction, k: int) -> bool:
     """Check the covering conditions of a weight function from scratch.
 
-    Conditions quantifying over "some" boundary cut are decided by direct
-    minimization over the allowed cut range (a single DP row per index).
-    Intended for desk-scale validation.
+    Conditions quantifying over "some" boundary cut are decided by a bounded
+    minimization over the allowed cut range: the head's suffixes of
+    t[lo:hi] (suffix_min_edit) and the tail's prefixes of t[lo:hi+1]
+    (prefix_min_edit), each None exactly when every cut costs more than the
+    weight.  Intended for desk-scale validation.
     """
     bc, m0, n0, c_last = idx.bc, idx.m0, idx.n0, idx.c_last
 
@@ -404,7 +405,7 @@ def weight_function_covers(p: Str, t: Str, idx: BlackIndexing, wf: WeightFunctio
     for i in range(1, n0):
         lo = idx.t_sub[(i - 1) * bc + bc - 1]
         hi = idx.tau(0, i)
-        if _suffix_min_exact(head, t, lo, hi) > wf.w[bc - 1]:
+        if suffix_min_edit(head, t[lo:hi], wf.w[bc - 1]) is None:
             return False
 
     tail = p[idx.p_sub[-1] :]
@@ -413,18 +414,9 @@ def weight_function_covers(p: Str, t: Str, idx: BlackIndexing, wf: WeightFunctio
     for i in range(n0 - 1):
         lo = idx.tau(c_last, i)
         hi = idx.t_sub[c_last + 1 + i * bc]
-        row = prefix_cost_row(tail.codes, t.codes[lo : hi + 1])
-        if int(row.min()) > wf.w[c_last]:
+        if prefix_min_edit(tail, t[lo : hi + 1], wf.w[c_last]) is None:
             return False
     return True
-
-
-def _suffix_min_exact(x: Str, t: Str, lo: int, hi: int) -> int:
-    """min over start in [lo, hi] of edit_distance(x, t[start:hi])."""
-    rev = x.codes[::-1]
-    seg = t.codes[lo:hi][::-1]
-    row = prefix_cost_row(rev, seg)
-    return int(row.min())
 
 
 # ---------------------------------------------------------------------------

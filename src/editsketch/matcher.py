@@ -19,7 +19,7 @@ import numpy as np
 from . import _dp
 from .alignment import CostedOccurrence
 from .analysis import Decomposition, analyze, edit_budget
-from .distance import ed_periodic_witness, end_costs
+from .distance import ed_periodic_witness
 from .strings import exact_occurrences
 from .symbols import Str
 from .window import grow_window_structure
@@ -71,15 +71,8 @@ def _start_limit(p: Str, t: Str, k: int) -> int:
 def _verify_starts(p: Str, t: Str, k: int, starts) -> Set[CostedOccurrence]:
     lim = _start_limit(p, t, k)
     starts = [s for s in starts if 0 <= s <= lim]
-    out: Set[CostedOccurrence] = set()
-    if len(starts) > 48 and len(p) > 32:
-        for s0, e, c in _dp.batch_verify_starts(p.codes, t.as_bytes() or t.codes, starts, k):
-            out.add(CostedOccurrence(s0, e, c))
-        return out
-    for s0 in starts:
-        for e, c in end_costs(p, t, s0, k).items():
-            out.add(CostedOccurrence(s0, e, c))
-    return out
+    triples = _dp.batch_verify_starts(p.codes, t.as_bytes() or t.codes, starts, k)
+    return {CostedOccurrence(s0, e, c) for s0, e, c in triples}
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +218,12 @@ def verify_candidates(
 ) -> Set[CostedOccurrence]:
     """Exact occurrence pairs restricted to the candidate starts.
 
-    direct: banded verification per start.  masked: per window, grow an
-    alignment set over the candidates, mask the unlearned periodic structure,
-    and verify the candidates against the masked strings; both routes agree
-    whenever the candidate set is a superset of the true starts.
+    direct: one batched banded verification of every candidate start
+    (_dp.batch_verify_starts).  masked: per window, verify the window's
+    candidates in one batch, grow an alignment set over them, mask the
+    unlearned periodic structure, and verify the candidates against the
+    masked strings; both routes agree whenever the candidate set is a
+    superset of the true starts.
     """
     if route == "direct":
         return _verify_starts(p, t, k, cand.sorted_starts())
@@ -249,31 +244,25 @@ def verify_candidates(
 def _masked_window_pairs(
     p: Str, t: Str, k: int, wlo: int, whi: int, h_w: List[int]
 ) -> Set[CostedOccurrence]:
-    cache: Dict[int, Dict[int, int]] = {}
-
-    def ends_at(s0: int) -> Dict[int, int]:
-        if s0 not in cache:
-            w_end = min(whi, s0 + len(p) + k)
-            ec = end_costs(p, t, s0, k)
-            cache[s0] = {e: c for e, c in ec.items() if e <= w_end}
-        return cache[s0]
-
-    real = [s0 for s0 in h_w if ends_at(s0)]
-    if not real:
+    ends: Dict[int, Dict[int, int]] = {}  # start -> {end within the window: cost}
+    for o in _verify_starts(p, t, k, h_w):
+        if o.end <= whi:
+            ends.setdefault(o.start, {})[o.end] = o.cost
+    if not ends:
         return set()
-    lo = real[0]
-    hi = max(max(ends_at(s0)) for s0 in real)
+    lo = min(ends)
+    hi = max(max(got) for got in ends.values())
     t_crop = t[lo:hi]
     rel_starts = sorted(s0 - lo for s0 in h_w if lo <= s0)
 
     def pair_at(u: int) -> Optional[Tuple[int, int]]:
-        got = {e - lo: c for e, c in ends_at(u + lo).items() if e <= hi}
+        got = ends.get(u + lo)
         if not got:
             return None
         c, e = min((c, e) for e, c in got.items())
-        return e, c
+        return e - lo, c
 
-    suffix_start = min((ends_at(s0)[hi], s0 - lo) for s0 in real if hi in ends_at(s0))[1]
+    suffix_start = min((got[hi], s0 - lo) for s0, got in ends.items() if hi in got)[1]
     ws = grow_window_structure(p, t_crop, k, rel_starts, pair_at, suffix_start)
     if ws.masked is not None:
         ph, th = ws.masked.p_hash, ws.masked.t_hash

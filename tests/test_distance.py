@@ -187,15 +187,10 @@ def test_ed_boundary_anchored(rng):
         assert got == want
 
 
-def test_row_sweep_rows_and_minima_match_brute_tables(rng):
+def test_periodic_extents_and_row_minima_match_brute_tables(rng):
     for _ in range(120):
         x = random_codes(rng, rng.randint(0, 7), 3)
         u = random_codes(rng, rng.randint(0, 9), 3)
-        xa, ua = np.asarray(x, dtype=np.int32), np.asarray(u, dtype=np.int32)
-        prefix, free = brute_table(x, u, False), brute_table(x, u, True)
-        for table, first in ((prefix, np.arange(len(u) + 1, dtype=np.int32)), (free, np.zeros(len(u) + 1, np.int32))):
-            assert _dp._row_sweep(xa, ua, first).tolist() == table[-1]
-        assert _dp.prefix_cost_row(x, u).tolist() == prefix[-1]
         if u:  # row minima against q^inf, q = u: row i's is the least r that reaches row i
             periodic = brute_table(x, (u * (len(x) + 2))[: len(x) + 2 * len(u)], False)
             reach = [_dp.periodic_extents([x], u, r)[0][0] for r in range(len(x) + 1)]
@@ -358,6 +353,17 @@ def test_batch_verify_starts_matches_end_costs_per_start(rng):
         some_live += bool(want)
         all_dead += not want
     assert some_live >= 5 and all_dead >= 5
+
+    # short patterns on texts of 1-3k symbols with far more starts than
+    # true ones, as in matching a short pattern over a whole text
+    for case in range(9):
+        m, k = (6, 20, 32)[case % 3], 1 + case // 3
+        sigma = rng.choice((2, 4))
+        p = random_codes(rng, m, sigma)
+        t = planted_text(rng, p, k, sigma, reps=3, pad=900)[:3000]
+        n = len(t)
+        starts = set(rng.sample(range(n + 1), rng.randint(49, n + 1))) | set(range(n - m, n + 1))
+        assert len(check(p, t, starts, k)) > 0
 
     # an exact copy lives until the last row; a copy missing its last
     # character ends at the text end, so its band runs past it

@@ -1,3 +1,5 @@
+from typing import Tuple
+
 import pytest
 
 from editsketch.alignment import alignment_cost
@@ -7,6 +9,7 @@ from editsketch.graph import (
     NoBlackComponents,
     PeriodCover,
     RejectedCaptured,
+    WeightFunction,
     black_indexing,
     block_alignment,
     build_graph,
@@ -25,7 +28,7 @@ from editsketch.compress import lz_size_leq
 from editsketch.symbols import S, Str
 from editsketch.window import structure_from_pairs
 
-from conftest import random_codes
+from conftest import brute_edit_distance, planted_text, random_codes
 
 
 def make_set(p: Str, t: Str, pairs, k: int) -> AlignmentSet:
@@ -114,6 +117,67 @@ def test_weight_function_counts_partial_costs(rng):
             continue
         assert ws.wf.total <= k * max(2, len(ws.aligns))
         assert weight_function_covers(p, ws.t_crop, ws.idx, ws.wf, k)
+
+
+def _brute_covers(p: Str, t: Str, idx, w) -> Tuple[bool, str]:
+    """weight_function_covers restated with textbook distances, minimizing
+    over every cut; also names the check that first fails."""
+    bc, c_last = idx.bc, idx.c_last
+    x, y = p.codes, t.codes
+    for c in range(bc):
+        for j in range(idx.m_c(c + 1)):
+            frag = x[idx.pi(c, j) : idx.p_sub[c + 1 + j * bc]]
+            for i in range(idx.n_c(c + 1)):
+                if brute_edit_distance(frag, y[idx.tau(c, i) : idx.t_sub[c + 1 + i * bc]]) > w[c]:
+                    return False, "block"
+    head = x[: idx.pi(0, 0)]
+    if brute_edit_distance(head, y[: idx.tau(0, 0)]) > w[bc - 1]:
+        return False, "head"
+    for i in range(1, idx.n0):
+        lo, hi = idx.t_sub[(i - 1) * bc + bc - 1], idx.tau(0, i)
+        if min(brute_edit_distance(head, y[s:hi]) for s in range(lo, hi + 1)) > w[bc - 1]:
+            return False, "head suffix"
+    tail = x[idx.p_sub[-1] :]
+    if brute_edit_distance(tail, y[idx.t_sub[-1] :]) > w[c_last]:
+        return False, "tail"
+    for i in range(idx.n0 - 1):
+        lo, hi = idx.tau(c_last, i), idx.t_sub[c_last + 1 + i * bc]
+        if min(brute_edit_distance(tail, y[lo:e]) for e in range(lo, hi + 2)) > w[c_last]:
+            return False, "tail prefix"
+    return True, ""
+
+
+def test_weight_function_covers_matches_brute_minimization(rng):
+    """Verdicts on random windows, at the constructed weights and with each
+    weight lowered to every smaller value, against a brute restatement.  The
+    pattern's head (or tail) is a random string also at the text's start (or
+    end), so later periods' cuts can cost more than the first (or last)."""
+    failed = {"head suffix": 0, "tail prefix": 0}
+    for trial in range(1500):
+        sigma = rng.choice((2, 3))
+        m = rng.randint(4, 16)
+        k = rng.randint(1, max(1, m // 4))
+        q = random_codes(rng, rng.randint(1, 4), sigma) * 60
+        ends = list(random_codes(rng, rng.randint(1, 3), sigma))
+        body = list(planted_text(rng, q[: rng.randint(m, 2 * m - 2 * k) - len(ends)], 2, sigma, 1, 0))
+        if trial % 2:
+            p, t = Str(ends + list(q[: m - len(ends)])), Str(ends + body)
+        else:
+            p, t = Str(list(q[len(body) - m + len(ends) :][: m - len(ends)]) + ends), Str(body + ends)
+        m = len(p)
+        pairs = {(o.start, o.end, o.cost) for o in occ_edits_oracle(p, t, k)}
+        if len(pairs) < 2 or max(e for _, e, _ in pairs) - min(s for s, _, _ in pairs) > 2 * m - 2 * k:
+            continue
+        ws = structure_from_pairs(p, t, k, sorted(pairs), need_cover=False)
+        if ws.idx is None:
+            continue
+        w = ws.wf.w
+        for v in [w] + [w[:c] + (u,) + w[c + 1 :] for c in range(len(w)) for u in range(w[c])]:
+            want, why = _brute_covers(p, ws.t_crop, ws.idx, v)
+            assert weight_function_covers(p, ws.t_crop, ws.idx, WeightFunction(v), k) == want
+            if why in failed:
+                failed[why] += 1
+    assert min(failed.values()) >= 40
 
 
 def test_captures_and_halving_thresholds():

@@ -25,7 +25,7 @@ def occ_set(occs):
 
 
 def test_match_banded_matches_brute_exhaustive_small():
-    for pm in range(1, 5):
+    for pm in range(0, 5):  # the empty pattern included
         for pt in range(0, 6):
             rng = random.Random(pm * 31 + pt)
             for _ in range(8):

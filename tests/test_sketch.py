@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -311,6 +312,27 @@ def test_header_inconsistent_with_records_is_corrupt_sketch():
     for blob in bad:
         with pytest.raises(CorruptSketch):
             Sketch.from_bytes(blob)
+
+
+def test_mutated_sketches_decode_or_raise_corrupt_sketch():
+    """1000 seeded mutants of a structured sketch, 1-3 random bytes each:
+    every one decodes or raises CorruptSketch or UnsupportedSketch (never
+    another exception), each within 2 s."""
+    blob = _structured_sketch().to_bytes()
+    rng = random.Random(20_240_318)
+    outcomes = {"decoded": 0, CorruptSketch: 0, UnsupportedSketch: 0}
+    for _ in range(1000):
+        bad = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            bad[rng.randrange(len(bad))] = rng.randrange(256)
+        t0 = time.perf_counter()
+        try:
+            decode(Sketch.from_bytes(bytes(bad)))
+            outcomes["decoded"] += 1
+        except (CorruptSketch, UnsupportedSketch) as exc:
+            outcomes[type(exc)] += 1
+        assert time.perf_counter() - t0 < 2.0
+    assert outcomes["decoded"] > 0 and outcomes[CorruptSketch] > 0
 
 
 def test_header_m_is_checked_before_points_are_expanded(monkeypatch):
