@@ -1,18 +1,20 @@
 """Edit-distance dynamic-programming cores.
 
-Everything that walks a Levenshtein lattice lives here, in four kernels:
+Everything that walks a Levenshtein lattice lives here, in five kernels:
 
+- batch_verify_starts (every verification of candidate starts, on the
+  matcher's direct and masked routes alike): Landau-Vishkin diagonals over
+  a chunk of starts, k + 1 rounds of furthest-reaching rows per diagonal
+  joined by slides along matching characters, up to eight codes per
+  packed 64-bit word;
 - one offset-major row step over many radius-k band rows (_band_row), for
-  every batch of starts or strings:
-  - batch_verify_starts (every verification of candidate starts, on the
-    matcher's direct and masked routes alike) drops a start once its band
-    row minimum exceeds k;
+  the batches that need whole rows:
   - periodic_extents (extensions of periodic anchors in candidate
     generation) drops a string once its row minimum exceeds the radius or
     it ends;
-  - canonical_alignments (the decoder's per-start tracebacks) keeps every
-    row, since each of its pairs costs at most k and is traced back from
-    row m;
+  - canonical_alignments (the decoder's per-start tracebacks) keeps the
+    canonical step into every band cell, since each of its pairs costs at
+    most k and is traced back from row m;
 - the pure-Python widening band BandRows, one pair or start at a time:
   align_pair and bounded_pair (one canonical alignment, behind
   distance.optimal_alignment and edit_distance_bounded), and
@@ -29,12 +31,13 @@ canonical_alignments takes 8.5 ms against align_pair's 2.6 ms (2-vCPU
 Xeon, CPython 3.11, numpy 2.4), and encode aligns its pairs one at a time
 (about 85 optimal_alignment calls per scan-breaks benchmark pass).
 
-Dropping is Ukkonen's cutoff ("Finding approximate patterns in strings",
-J. Algorithms 6, 1985), and it is exact: every band cell is reached from a
-cell of the row above that costs no more, so a row minimum never decreases,
-and once it exceeds the threshold no later cell is within it.  Because the
-aligned step keeps its band column, a row minimum also grows by at most one
-per row, which tells the first row where a minimum can pass the threshold.
+periodic_extents drops strings by Ukkonen's cutoff ("Finding approximate
+patterns in strings", J. Algorithms 6, 1985), which is exact: every band
+cell is reached from a cell of the row above that costs no more, so a row
+minimum never decreases, and once it exceeds the threshold no later cell is
+within it.  Because the aligned step keeps its band column, a row minimum
+also grows by at most one per row, which tells the first row where a
+minimum can pass the threshold.
 
 The backtrace tie-break is fixed once for the whole package: at a cell, an
 aligned step (match/substitution) is preferred over a deletion, which is
@@ -148,14 +151,15 @@ class BandRows:
         return path
 
 
-def align_pair(x: Sequence[int], y: Sequence[int]) -> Tuple[int, Points]:
+def align_pair(x: Sequence[int], y: Sequence[int], cost: Optional[int] = None) -> Tuple[int, Points]:
     """Cost and canonical optimal path of x onto all of y.
 
     Runs a banded DP with a widening radius; once the band radius reaches the
-    true cost the backtrace coincides with the full-table one.
+    true cost the backtrace coincides with the full-table one.  A caller that
+    knows the cost passes it, and the first band is then wide enough.
     """
     n, m = len(x), len(y)
-    r = abs(n - m) + 4
+    r = abs(n - m) + 4 if cost is None else max(cost, abs(n - m))
     while True:
         band = BandRows(x, y, r)
         cost = band.value(n, m)
@@ -163,7 +167,7 @@ def align_pair(x: Sequence[int], y: Sequence[int]) -> Tuple[int, Points]:
             return cost, band.backtrace(m)
         if r > n + m:  # pragma: no cover - cost is always <= n + m
             raise AssertionError("edit distance band exhausted")
-        r = min(2 * r, n + m + 1)
+        r = min(max(2 * r, 1), n + m + 1)
 
 
 def bounded_pair(x: Sequence[int], y: Sequence[int], k: int) -> Optional[Tuple[int, Points]]:
@@ -255,10 +259,10 @@ def periodic_row_minima(x: Sequence[int], q: Sequence[int], prefix: bool) -> Ite
 def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
     """Layout shared by every radius-k band of x against starts in t.
 
-    Returns (windows, vdtype, inf, row0).  windows[s] holds t[s + j] at
-    column k + j, padded with a value no pattern character equals, so cells
-    beyond the text end only grow and never disturb in-range cells (the DP
-    reads only leftward and upward).  Band column b of row i holds
+    Returns (ta_pad, vdtype, inf, row0).  ta_pad[s + k + j] holds t[s + j],
+    padded with a value no pattern character equals, so cells beyond the
+    text end only grow and never disturb in-range cells (the DP reads only
+    leftward and upward).  Band column b of row i holds
     D[i][i + b - k]; row0 is row 0, with cells at j < 0 set to inf.
     t may be a text's `bytes` rendering, which numpy reads without a
     conversion per code.
@@ -272,12 +276,11 @@ def _band_frame(x: Sequence[int], t: Sequence[int], k: int):
     cdtype = np.int16 if max_code < 30000 else np.int32
     ta_pad = np.full(n + win + 2, -1, dtype=cdtype)
     ta_pad[k : k + n] = np.asarray(ta, dtype=cdtype)
-    windows = np.lib.stride_tricks.sliding_window_view(ta_pad, win)
     vdtype = np.int16 if 2 * (m + k) + 100 < 30000 else np.int32
     inf = (m + k) + 50
     d0 = np.arange(-k, k + 1)
     row0 = np.where(d0 >= 0, d0, inf).astype(vdtype)
-    return windows, vdtype, inf, row0
+    return ta_pad, vdtype, inf, row0
 
 
 def _band_row(prev, out, chars, xi, i, k, inf, offs, neq, up) -> None:
@@ -299,8 +302,27 @@ def _band_row(prev, out, chars, xi, i, k, inf, offs, neq, up) -> None:
         out[:, : k - i] = inf
 
 
-# fewest band rows between two checks of the live starts in batch_verify_starts
-_CHECK_GAP = 8
+def _packed_words(x: Sequence[int], t: Sequence[int], k: int):
+    """(xw, tw, shift): xw[i] packs x[i:] and tw[k + j] packs t[j:] into
+    little-endian 64-bit words of 64 >> shift codes.  x's codes are renumbered
+    from 0 (one byte each for up to 254 of them); text codes x lacks and cells
+    past t's end read one spare code, cells past x's end another."""
+    rank = {a: c for c, a in enumerate(sorted(set(x)))}
+    dt = np.dtype(np.uint8 if len(rank) < 255 else np.uint16 if len(rank) < 65535 else np.uint32)
+    m, n, size, spare = len(x), len(t), dt.itemsize, np.iinfo(dt).max
+    if isinstance(t, bytes) and size == 1:
+        lut = np.full(256, spare, dtype=np.uint8)
+        lut[[a for a in rank if a < 256]] = [c for a, c in rank.items() if a < 256]
+        tc = np.frombuffer(t.translate(lut.tobytes()), dtype=np.uint8)
+    else:
+        tc = [rank.get(c, spare) for c in t]
+    xp = np.full(m + 8 // size, spare - 1, dtype=dt)
+    xp[:m] = [rank[c] for c in x]
+    tp = np.full(n + m + 2 * k + 8 // size, spare, dtype=dt)
+    tp[k : k + n] = tc
+    xw = np.ndarray(m + 1, dtype="<u8", buffer=xp, strides=(size,))
+    tw = np.ndarray(n + m + 2 * k + 1, dtype="<u8", buffer=tp, strides=(size,))
+    return xw, tw, 2 + size.bit_length()
 
 
 def batch_verify_starts(
@@ -308,70 +330,51 @@ def batch_verify_starts(
 ) -> List[Tuple[int, int, int]]:
     """All (start, end, cost) triples with cost <= k, start drawn from `starts`.
 
-    Vectorized across starts; equivalent to running end_costs_for_start on
-    each start.  The output filter drops ends beyond the text.
-
-    A start is dropped once its band row minimum exceeds k (Ukkonen's
-    cutoff).  This is exact: every band cell is reached from a cell of the
-    row above that costs no more, so row minima never decrease, and a start
-    whose minimum passes k has no last-row cell within k.  Since the aligned
-    step keeps its column, a minimum also grows by at most one per row, so
-    the first row where a live start can pass k is i + k - (largest live
-    minimum) + 1; minima are checked only from there, at least _CHECK_GAP
-    rows apart.  A chunk is shrunk to its live starts only once at most half
-    of them are live (a dead start costs only its share of each row), and
-    its remaining rows are skipped once none is.
+    Equal to end_costs_for_start on each start, ordered by start, then end;
+    ends beyond the text are dropped.  Landau-Vishkin diagonals (J.
+    Algorithms 10, 1989) over a chunk of starts: L[e][d], the last row i with
+    D[i][i + d] <= e, is the largest of L[e-1][d] + 1, L[e-1][d-1] and
+    L[e-1][d+1] + 1, clipped to m and slid along matching codes a packed word
+    at a time; end s + m + d costs the least e with L[e][d] = m.  Diagonal 0
+    starts at row 0 for e = 0; any other diagonal's start, max(0, -d) at
+    e = |d|, is no further than a neighbour's step.  Exact: D never decreases
+    along a diagonal, and an optimal path of cost v never leaves |d| <= v.
     """
-    if not len(starts):
+    n, m = len(t), len(x)
+    st_all = np.unique(np.fromiter(starts, dtype=np.int64))
+    st_all = st_all[(st_all >= 0) & (st_all <= n)]  # later starts end past the text
+    if not st_all.size:
         return []
-    n = len(t)
-    m = len(x)
-    if n == 0:
-        return [(0, 0, m)] if m <= k and 0 in set(starts) else []
-    st_all = sorted(set(starts))
+    xw, tw, shift = _packed_words(x, t, k)
     out: List[Tuple[int, int, int]] = []
     width = 2 * k + 1
-    chunk = min(4096, max(1, (32 << 20) // max(1, 2 * (m + 2 * k))))
-    windows_all, vdtype, inf, row0 = _band_frame(x, t, k)
-    offs = np.arange(width, dtype=vdtype)
-    for c0 in range(0, len(st_all), chunk):
-        st = np.asarray(st_all[c0 : c0 + chunk], dtype=np.int64)
-        S = len(st)
-        W = windows_all[st]
-        w0 = 0  # W's column w - w0 holds window column w
-        V = np.broadcast_to(row0, (S, width)).copy()
-        M = np.empty_like(V)
-        up = np.full_like(V, inf)
-        neq = np.empty((S, width), dtype=bool)
-        check = max(k + 1, _CHECK_GAP)
-        for i in range(1, m + 1):
-            c = i - 1 - w0
-            _band_row(V, M, W[:, c : c + width], x[i - 1], i, k, inf, offs, neq, up)
-            V, M = M, V
-            if i < check or i == m:
-                continue
-            mins = V.min(axis=1)
-            top = int(mins.max())  # the largest live minimum, if none is dead
-            if top > k:
-                live = mins <= k
-                n_live = int(np.count_nonzero(live))
-                if not n_live:
-                    break
-                if 2 * n_live <= len(st):
-                    st, W, V = st[live], W[live, c + 1 :], V[live]
-                    w0 = i
-                    M, up, neq = np.empty_like(V), np.full_like(V, inf), np.empty(V.shape, dtype=bool)
-                top = int(mins[live].max())
-            check = i + max(_CHECK_GAP, k - top + 1)
-        else:
-            ok = V <= k
-            if ok.any():
-                si, di = np.nonzero(ok)
-                for a, b in zip(si.tolist(), di.tolist()):
-                    s0 = int(st[a])
-                    e = s0 + m + (b - k)
-                    if e <= n:
-                        out.append((s0, e, int(V[a, b])))
+    chunk = max(1, (1 << 16) // width)  # diagonal entries per chunk: memory stays bounded
+    for c0 in range(0, st_all.size, chunk):
+        st = st_all[c0 : c0 + chunk]
+        base = (st[:, None] + np.arange(width)).ravel()  # tw[base + i] packs t[s + d + i:]
+        L = np.full((st.size, width), -k - 2, dtype=np.int64)  # below 0: not reached yet
+        L[:, k] = 0
+        done = np.zeros(L.shape, dtype=np.int64)  # rounds that reached row m
+        for e in range(k + 1):
+            if e:
+                nxt = L + 1
+                np.maximum(nxt[:, 1:], L[:, :-1], out=nxt[:, 1:])
+                np.maximum(nxt[:, :-1], L[:, 1:] + 1, out=nxt[:, :-1])
+                L = np.minimum(nxt, m, out=nxt)
+            flat = L.reshape(-1)
+            act = np.flatnonzero((flat >= 0) & (flat < m))
+            i, b = flat[act], base[act]
+            while act.size:
+                v = xw[i] ^ tw[b + i]
+                i += np.bitwise_count((v & -v) - 1) >> shift  # codes before the first mismatch
+                flat[act] = i
+                more = v == 0
+                act, i, b = act[more], i[more], b[more]
+            done += L == m
+        si, di = np.nonzero(done)
+        s_hit, ends = st[si], st[si] + (m - k) + di
+        keep = (ends >= s_hit) & (ends <= n)
+        out += zip(s_hit[keep].tolist(), ends[keep].tolist(), (k + 1 - done[si, di])[keep].tolist())
     return out
 
 
@@ -477,14 +480,15 @@ def canonical_alignments(
             raise ValueError(f"pair ({s0}, {e0}) is more than {k} length edits from the pattern")
         by_start.setdefault(s0, []).append(idx)
     starts = sorted(by_start)
-    windows_all, vdtype, inf, row0 = _band_frame(x, t, k)
+    ta_pad, vdtype, inf, row0 = _band_frame(x, t, k)
     offs = np.arange(width, dtype=vdtype)
+    cols = np.arange(m + 2 * k)  # per-start window: offsets i-1+d, d in [-k, k]
     # step codes of every row plus the worst-case path history: 4 MiB a chunk
     chunk = max(1, (4 << 20) // (width * ((m + 1) + 4 * (m + k + 1))))
     for c0 in range(0, len(starts), chunk):
         st = starts[c0 : c0 + chunk]
         S = len(st)
-        W = windows_all[np.asarray(st, dtype=np.int64)]
+        W = ta_pad[np.asarray(st, dtype=np.int64)[:, None] + cols]
         codes = np.empty((m + 1, S, width), dtype=np.uint8)
         codes[0] = _INS
         codes[0, :, k] = _STOP

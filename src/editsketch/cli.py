@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--pattern", required=True)
     m.add_argument("--text", required=True)
     m.add_argument("-k", type=int, required=True)
-    m.add_argument("--reference", action="store_true", help="banded reference instead of the pipeline")
+    m.add_argument("--reference", action="store_true", help="verify every start instead of the pipeline")
     m.add_argument("--json")
     m.set_defaults(fn=cmd_match)
 

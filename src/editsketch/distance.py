@@ -31,9 +31,12 @@ def edit_distance_bounded(x: Str, y: Str, k: int) -> Optional[Tuple[int, Alignme
     return cost, Alignment(tuple(pts), x, y)
 
 
-def optimal_alignment(p: Str, t: Str, t0: int, t1: int) -> Alignment:
-    """Canonical optimal alignment of p onto t[t0:t1), in absolute t coords."""
-    _, pts = _dp.align_pair(p.codes, t.codes[t0:t1])
+def optimal_alignment(p: Str, t: Str, t0: int, t1: int, cost: Optional[int] = None) -> Alignment:
+    """Canonical optimal alignment of p onto t[t0:t1), in absolute t coords.
+
+    `cost`, when the caller knows it, sizes the first band (_dp.align_pair).
+    """
+    _, pts = _dp.align_pair(p.codes, t.codes[t0:t1], cost)
     return Alignment(tuple((x, t0 + y) for x, y in pts), p, t)
 
 

@@ -1,7 +1,7 @@
 """End-to-end k-error matching: reference path and candidate pipeline.
 
-The reference path (match_banded) runs a banded sweep from every text
-position.  The pipeline analyzes the pattern once, generates a provably
+The reference path (match_banded) verifies every text position as a
+start.  The pipeline analyzes the pattern once, generates a provably
 complete candidate-start set according to the decomposition case, and
 verifies only the candidates.  Candidate generation is deterministic: every
 break (or region) contributes, rather than a sampled one, which turns the
@@ -60,7 +60,7 @@ class CandidateSet:
 
 
 def match_banded(p: Str, t: Str, k: int) -> Set[CostedOccurrence]:
-    """Reference matcher: every qualifying (start, end) pair by banded DP."""
+    """Reference matcher: every qualifying (start, end) pair, verified from every start."""
     return _verify_starts(p, t, k, range(0, _start_limit(p, t, k) + 1))
 
 
@@ -218,7 +218,8 @@ def verify_candidates(
 ) -> Set[CostedOccurrence]:
     """Exact occurrence pairs restricted to the candidate starts.
 
-    direct: one batched banded verification of every candidate start
+    direct: one batched verification of every candidate start by
+    Landau-Vishkin diagonals, k + 1 rounds per start whatever m is
     (_dp.batch_verify_starts).  masked: per window, verify the window's
     candidates in one batch, grow an alignment set over them, mask the
     unlearned periodic structure, and verify the candidates against the
@@ -262,8 +263,8 @@ def _masked_window_pairs(
         c, e = min((c, e) for e, c in got.items())
         return e - lo, c
 
-    suffix_start = min((got[hi], s0 - lo) for s0, got in ends.items() if hi in got)[1]
-    ws = grow_window_structure(p, t_crop, k, rel_starts, pair_at, suffix_start)
+    suffix = min((got[hi], s0 - lo) for s0, got in ends.items() if hi in got)
+    ws = grow_window_structure(p, t_crop, k, rel_starts, pair_at, suffix)
     if ws.masked is not None:
         ph, th = ws.masked.p_hash, ws.masked.t_hash
     else:
@@ -275,7 +276,7 @@ def _masked_window_pairs(
 def find_occurrences(
     p: Str, t: Str, k: int, route: str = "direct", decomposition: Optional[Decomposition] = None
 ) -> Set[CostedOccurrence]:
-    """Analyze, generate candidates, verify; falls back to the banded
+    """Analyze, generate candidates, verify; falls back to the
     reference when the pattern is too short relative to k for decomposition."""
     m = len(p)
     if m == 0:

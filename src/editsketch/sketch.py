@@ -387,8 +387,8 @@ def _encode_window(
         stats["empty"] = stats.get("empty", 0) + 1
         return WindowRecord(EMPTY)
     if len(wpairs) == 1:
-        s0, e0, _ = wpairs[0]
-        a = optimal_alignment(p, t, s0, e0)
+        s0, e0, c0 = wpairs[0]
+        a = optimal_alignment(p, t, s0, e0, c0)
         stats["single"] = stats.get("single", 0) + 1
         return WindowRecord(SINGLE, lo=s0, crop_len=e0 - s0, aligns=(_alignrec_from(a, s0),))
     ws = structure_from_pairs(p, t, k, wpairs, validate=validate)

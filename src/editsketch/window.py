@@ -78,7 +78,7 @@ def grow_window_structure(
     k: int,
     starts: Sequence[int],
     pair_at: PairAt,
-    suffix_start: int,
+    suffix: Tuple[int, int],
     validate: bool = False,
     need_cover: bool = True,
 ) -> WindowStructure:
@@ -87,8 +87,8 @@ def grow_window_structure(
     `starts` is a sorted superset (relative coordinates) of the qualifying
     occurrence starts; `pair_at` resolves a start to its canonical (end,
     cost) pair or None when nothing qualifies there.  Start 0 must qualify
-    with some pair ending anywhere, and `suffix_start` must qualify with a
-    pair ending at len(t_crop).
+    with some pair ending anywhere, and `suffix` is the (cost, start) of a
+    qualifying pair ending at len(t_crop).
     """
     m = len(p)
     if len(t_crop) > 2 * m - 2 * k:
@@ -97,9 +97,10 @@ def grow_window_structure(
     first = pair_at(0)
     if first is None:
         raise InternalInvariantBroken("crop start does not hold an occurrence")
-    aligns = [optimal_alignment(p, t_crop, 0, first[0])]
+    aligns = [optimal_alignment(p, t_crop, 0, first[0], first[1])]
+    suffix_cost, suffix_start = suffix
     if suffix_start != 0 or first[0] != len(t_crop):
-        aligns.append(optimal_alignment(p, t_crop, suffix_start, len(t_crop)))
+        aligns.append(optimal_alignment(p, t_crop, suffix_start, len(t_crop), suffix_cost))
     s = AlignmentSet.from_alignments(p, t_crop, aligns, k)
     if not s.encloses():
         raise InternalInvariantBroken("seed alignments do not enclose the crop")
@@ -124,7 +125,7 @@ def grow_window_structure(
             if got is None:
                 dead.add(u)
                 continue
-            y = optimal_alignment(p, t_crop, u, got[0])
+            y = optimal_alignment(p, t_crop, u, got[0], got[1])
             s, g = extend_set(p, t_crop, s, idx, wf, y, g.bc)
             aligns.append(y)
             stats["extensions"] += 1
@@ -186,14 +187,14 @@ def structure_from_pairs(
         got = by_start.get(u)
         return canonical_pair(got) if got else None
 
-    suffix_start = min((c, s0 - lo) for s0, e, c in pairs if e == hi)[1]
+    suffix = min((c, s0 - lo) for s0, e, c in pairs if e == hi)
     ws = grow_window_structure(
         p,
         t_crop,
         k,
         sorted(by_start),
         pair_at,
-        suffix_start,
+        suffix,
         validate=validate,
         need_cover=need_cover,
     )

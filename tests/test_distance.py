@@ -373,3 +373,69 @@ def test_batch_verify_starts_matches_end_costs_per_start(rng):
         got = check(p, t, range(len(t) + 1), k)
         assert (150, 246, 0) in got
         assert ((396, len(t), 1) in got) == (k > 0)
+
+
+def test_batch_verify_starts_equals_per_start_reference_in_order(rng):
+    """The diagonal kernel returns exactly the per-start reference's triples,
+    ordered by start, then end: on periodic texts (exact runs over several
+    packed words), on copies cut off by the text end inside a word, for
+    pattern alphabets wider than a byte (codes 300, 30000 and >= 65536, and
+    more than 254 or 65534 distinct codes), from every start up to
+    _start_limit with 8k > m (the match_banded path), and for m = 0."""
+    from editsketch.matcher import _start_limit
+
+    def check(p, t, starts, k):
+        want = [
+            (s0, e, c)
+            for s0 in sorted(set(starts))
+            for e, c in sorted(_dp.end_costs_for_start(p, t, s0, k).items())
+        ]
+        assert _dp.batch_verify_starts(p, t, starts, k) == want
+        if max(t, default=0) < 256:
+            assert _dp.batch_verify_starts(p, bytes(t), starts, k) == want
+        return want
+
+    def mutate(s, edits, sigma):
+        s = list(s)
+        for _ in range(edits):
+            i = rng.randrange(len(s) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(s):
+                s[i] = rng.randrange(sigma)
+            elif op == 1 and i < len(s):
+                del s[i]
+            else:
+                s.insert(i, rng.randrange(sigma))
+        return tuple(s)
+
+    long_runs = cut_runs = 0
+    for _ in range(60):  # periodic texts, copies at and over the text end
+        k = rng.randint(0, 4)
+        q = random_codes(rng, rng.randint(1, 5), 3)
+        p = (q * 40)[: rng.randint(17, 60)]
+        t = (q * 200)[rng.randrange(len(q)) :][: rng.randint(len(p), 3 * len(p))]
+        t = mutate(t, rng.randint(0, 3), 3) + mutate(p, rng.randint(0, k), 3)[: rng.randint(1, len(p))]
+        lim = _start_limit(Str(p), Str(t), k)
+        got = check(p, t, rng.sample(range(lim + 1), min(lim + 1, 30)) + [lim], k)
+        long_runs += any(c == 0 for _, _, c in got)
+        cut_runs += any(e == len(t) and (e - s0) % 8 for s0, e, _ in got)
+    assert long_runs >= 10 and cut_runs >= 10
+
+    for _ in range(40):  # every start of short patterns, 8k > m
+        k = rng.randint(1, 4)
+        p = random_codes(rng, rng.randint(0, 8 * k - 1), rng.choice((1, 2, 3)))
+        t = random_codes(rng, rng.randint(0, 25), 3)
+        check(p, t, range(_start_limit(Str(p), Str(t), k) + 1), k)
+    assert check((), (1, 2), [0, 1, 2], 1) == [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 2, 1), (2, 2, 0)]
+    assert check((5,), (), [0], 1) == [(0, 0, 1)]
+
+    for codes in ((300, 7, 30000), (65536, 1, 70000)):
+        for _ in range(8):  # wide codes in pattern and text
+            k = rng.randint(0, 4)
+            p = tuple(rng.choice(codes) for _ in range(rng.randint(1, 30)))
+            t = mutate(p, rng.randint(0, k + 1), 3) + tuple(rng.choice(codes + (2,)) for _ in range(6))
+            check(p, t, range(len(t) + 1), k)
+    for sigma, k in ((300, 3), (65535, 1)):  # 2-byte and 4-byte packed codes
+        p = tuple(rng.sample(range(1000, 1000 + sigma), sigma))
+        t = (7,) + mutate(p, k, 1000 + sigma) + (2, 3)
+        assert check(p, t, [0, 1, 2, 3, len(t) - len(p) + k], k)

@@ -227,5 +227,5 @@ def test_pipeline_k_zero_and_large_k():
     p = S("abc")
     t = S("abcxabc")
     assert occ_set(find_occurrences(p, t, 0)) == {(0, 3, 0), (4, 7, 0)}
-    # 8k > m falls back to the banded reference
+    # 8k > m falls back to the reference matcher
     assert occ_set(find_occurrences(p, t, 2)) == occ_set(match_banded(p, t, 2))
