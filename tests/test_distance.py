@@ -16,6 +16,7 @@ from editsketch.distance import (
     prefix_min_edit,
     suffix_min_edit,
 )
+from editsketch.matcher import _start_limit
 from editsketch.symbols import S, Str
 
 from conftest import (
@@ -322,12 +323,37 @@ def test_bytes_text_matches_code_tuple_in_band_kernels(rng):
 
 
 def test_batch_verify_starts_matches_end_costs_per_start(rng):
+    """The batch kernel returns exactly the per-start reference's triples,
+    ordered by start, then end, for a tuple text and its bytes: on random
+    and planted texts, on periodic texts (exact runs over several packed
+    words), on copies cut off by the text end inside a word, for pattern
+    alphabets wider than a byte (codes 300, 30000 and >= 65536, and more
+    than 254 or 65534 distinct codes), from every start up to _start_limit
+    with 8k > m (the match_banded path), and for m = 0."""
+
     def check(p, t, starts, k):
-        want = sorted(
-            (s0, e, c) for s0 in starts for e, c in _dp.end_costs_for_start(p, t, s0, k).items()
-        )
-        assert sorted(_dp.batch_verify_starts(p, t, sorted(starts), k)) == want
+        want = [
+            (s0, e, c)
+            for s0 in sorted(set(starts))
+            for e, c in sorted(_dp.end_costs_for_start(p, t, s0, k).items())
+        ]
+        assert _dp.batch_verify_starts(p, t, starts, k) == want
+        if max(t, default=0) < 256:
+            assert _dp.batch_verify_starts(p, bytes(t), starts, k) == want
         return want
+
+    def mutate(s, edits, sigma):
+        s = list(s)
+        for _ in range(edits):
+            i = rng.randrange(len(s) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(s):
+                s[i] = rng.randrange(sigma)
+            elif op == 1 and i < len(s):
+                del s[i]
+            else:
+                s.insert(i, rng.randrange(sigma))
+        return tuple(s)
 
     for _ in range(150):
         k = rng.randint(0, 4)
@@ -338,8 +364,8 @@ def test_batch_verify_starts_matches_end_costs_per_start(rng):
         starts = set(rng.sample(range(n + 1), rng.randint(0, n + 1))) | set(range(max(0, n - k), n + 1))
         check(p, t, starts, k)
 
-    # m from 40 to 120 on texts where most starts are false: band minima are
-    # checked and the chunk shrinks to its live starts, or is dropped whole
+    # m from 40 to 120 on texts where most starts are false, some with no
+    # true start at all
     some_live = all_dead = 0
     for case in range(30):
         m = rng.randint(40, 120)
@@ -365,48 +391,14 @@ def test_batch_verify_starts_matches_end_costs_per_start(rng):
         starts = set(rng.sample(range(n + 1), rng.randint(49, n + 1))) | set(range(n - m, n + 1))
         assert len(check(p, t, starts, k)) > 0
 
-    # an exact copy lives until the last row; a copy missing its last
-    # character ends at the text end, so its band runs past it
+    # an exact copy slides through every row; a copy missing its last
+    # character ends at the text end, so its diagonals run past it
     for k in (0, 1, 3):
         p = random_codes(rng, 96, 4)
         t = random_codes(rng, 150, 4) + p + random_codes(rng, 150, 4) + p[:-1]
         got = check(p, t, range(len(t) + 1), k)
         assert (150, 246, 0) in got
         assert ((396, len(t), 1) in got) == (k > 0)
-
-
-def test_batch_verify_starts_equals_per_start_reference_in_order(rng):
-    """The diagonal kernel returns exactly the per-start reference's triples,
-    ordered by start, then end: on periodic texts (exact runs over several
-    packed words), on copies cut off by the text end inside a word, for
-    pattern alphabets wider than a byte (codes 300, 30000 and >= 65536, and
-    more than 254 or 65534 distinct codes), from every start up to
-    _start_limit with 8k > m (the match_banded path), and for m = 0."""
-    from editsketch.matcher import _start_limit
-
-    def check(p, t, starts, k):
-        want = [
-            (s0, e, c)
-            for s0 in sorted(set(starts))
-            for e, c in sorted(_dp.end_costs_for_start(p, t, s0, k).items())
-        ]
-        assert _dp.batch_verify_starts(p, t, starts, k) == want
-        if max(t, default=0) < 256:
-            assert _dp.batch_verify_starts(p, bytes(t), starts, k) == want
-        return want
-
-    def mutate(s, edits, sigma):
-        s = list(s)
-        for _ in range(edits):
-            i = rng.randrange(len(s) + 1)
-            op = rng.randrange(3)
-            if op == 0 and i < len(s):
-                s[i] = rng.randrange(sigma)
-            elif op == 1 and i < len(s):
-                del s[i]
-            else:
-                s.insert(i, rng.randrange(sigma))
-        return tuple(s)
 
     long_runs = cut_runs = 0
     for _ in range(60):  # periodic texts, copies at and over the text end
